@@ -8,10 +8,12 @@
 // Paper shape: adding image features helps; CNN features lift F1 clearly
 // more than HOG; the best layer is not the topmost one. Also reports the
 // paper's Section 5.2 decision-tree observation: tree accuracy does not
-// improve materially with CNN features.
+// improve materially with CNN features. Exits non-zero when any panel's
+// shape check is violated (training is deterministic, so this is stable).
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "features/hog.h"
@@ -58,35 +60,24 @@ ml::LogisticRegressionConfig PaperLrConfig() {
   return lr;
 }
 
+/// The hash-based 20% test split, and the 80% train split.
+bool IsTest(const df::Record& r) { return feat::IsTestId(r.id, 0.2); }
+bool IsTrain(const df::Record& r) { return !IsTest(r); }
+
 /// Trains LR on [struct features (+ optional slot-0 tensor)] of `table`,
-/// evaluating on the hash-based 20% test split. Returns test F1.
+/// evaluating on the test split. Returns test F1.
 Result<double> TrainAndScore(df::Engine* engine, const df::Table& table,
                              int feature_slot) {
   const auto extractor = MakeTransferExtractor(feature_slot, 2);
-  auto train = engine->MapPartitions(
-      table, [](std::vector<df::Record> records)
-                 -> Result<std::vector<df::Record>> {
-        std::vector<df::Record> out;
-        for (auto& r : records) {
-          if (!feat::IsTestId(r.id, 0.2)) out.push_back(std::move(r));
-        }
-        return out;
-      });
-  VISTA_RETURN_IF_ERROR(train.status());
+  VISTA_ASSIGN_OR_RETURN(df::Table train, engine->Filter(table, IsTrain));
   VISTA_ASSIGN_OR_RETURN(
       ml::LogisticRegressionModel model,
-      ml::TrainLogisticRegression(engine, *train, extractor,
-                                  PaperLrConfig()));
-  ml::BinaryMetrics metrics;
-  VISTA_ASSIGN_OR_RETURN(std::vector<df::Record> rows,
-                         engine->Collect(table));
-  std::vector<float> x;
-  float label = 0;
-  for (const df::Record& r : rows) {
-    if (!feat::IsTestId(r.id, 0.2)) continue;
-    VISTA_RETURN_IF_ERROR(extractor(r, &x, &label));
-    metrics.Add(model.Predict(x.data()), label > 0.5f ? 1 : 0);
-  }
+      ml::TrainLogisticRegression(engine, train, extractor, PaperLrConfig()));
+  VISTA_ASSIGN_OR_RETURN(df::Table test, engine->Filter(table, IsTest));
+  VISTA_ASSIGN_OR_RETURN(
+      ml::BinaryMetrics metrics,
+      ml::Evaluate(engine, test, extractor,
+                   [&](const float* x) { return model.Predict(x); }));
   return metrics.F1();
 }
 
@@ -154,35 +145,20 @@ Result<int> RunPanel(df::Engine* engine, const Dataset& data,
   return shape_holds ? 1 : 0;
 }
 
-Result<double> TreeScore(df::Engine* engine, const Dataset& data,
-                         const df::Table& table, int slot) {
-  (void)data;
+Result<double> TreeScore(df::Engine* engine, const df::Table& table,
+                         int slot) {
   const auto extractor = MakeTransferExtractor(slot, 2);
-  auto train = engine->MapPartitions(
-      table, [](std::vector<df::Record> records)
-                 -> Result<std::vector<df::Record>> {
-        std::vector<df::Record> out;
-        for (auto& r : records) {
-          if (!feat::IsTestId(r.id, 0.2)) out.push_back(std::move(r));
-        }
-        return out;
-      });
-  VISTA_RETURN_IF_ERROR(train.status());
+  VISTA_ASSIGN_OR_RETURN(df::Table train, engine->Filter(table, IsTrain));
   ml::DecisionTreeConfig tree_config;
   tree_config.max_depth = 5;
   VISTA_ASSIGN_OR_RETURN(
       ml::DecisionTreeModel tree,
-      ml::TrainDecisionTree(engine, *train, extractor, tree_config));
-  ml::BinaryMetrics metrics;
-  VISTA_ASSIGN_OR_RETURN(std::vector<df::Record> rows,
-                         engine->Collect(table));
-  std::vector<float> x;
-  float label = 0;
-  for (const df::Record& r : rows) {
-    if (!feat::IsTestId(r.id, 0.2)) continue;
-    VISTA_RETURN_IF_ERROR(extractor(r, &x, &label));
-    metrics.Add(tree.Predict(x.data()), label > 0.5f ? 1 : 0);
-  }
+      ml::TrainDecisionTree(engine, train, extractor, tree_config));
+  VISTA_ASSIGN_OR_RETURN(df::Table test, engine->Filter(table, IsTest));
+  VISTA_ASSIGN_OR_RETURN(
+      ml::BinaryMetrics metrics,
+      ml::Evaluate(engine, test, extractor,
+                   [&](const float* x) { return tree.Predict(x); }));
   return metrics.F1();
 }
 
@@ -210,13 +186,18 @@ Status RunAll() {
   // Section 5.2's decision-tree aside: a shallow tree gains little from
   // CNN features.
   VISTA_ASSIGN_OR_RETURN(double tree_struct,
-                         TreeScore(&engine, foods, foods.t_str, -1));
+                         TreeScore(&engine, foods.t_str, -1));
   std::printf("\nDecision tree (Foods): struct-only F1 = %.1f%% — the "
               "paper similarly finds shallow trees do not benefit much "
               "from CNN features.\n",
               100 * tree_struct);
 
   std::printf("\nFigure 8 shape held in %d/%d panels.\n", holds, panels);
+  if (holds < panels) {
+    return Status::FailedPrecondition(
+        "Figure 8 shape violated in " + std::to_string(panels - holds) +
+        " of " + std::to_string(panels) + " panels");
+  }
   return Status::OK();
 }
 

@@ -111,22 +111,24 @@ int main() {
       x->insert(x->end(), f.data(), f.data() + f.num_elements());
       return Status::OK();
     };
+    // Train on the 80% split, evaluate on the 20% held-out split.
+    auto train = engine.Filter(*table, [](const df::Record& rec) {
+      return !feat::IsTestId(rec.id, 0.2);
+    });
+    auto test = engine.Filter(*table, [](const df::Record& rec) {
+      return feat::IsTestId(rec.id, 0.2);
+    });
+    if (!train.ok() || !test.ok()) return 1;
     ml::LogisticRegressionConfig lr;
     lr.iterations = 25;
-    auto trained = ml::TrainLogisticRegression(&engine, *table, extract, lr);
+    auto trained = ml::TrainLogisticRegression(&engine, *train, extract, lr);
     if (!trained.ok()) return 1;
-    // Evaluate on the 20% held-out split.
-    ml::BinaryMetrics metrics;
-    auto all = engine.Collect(*table).value();
-    std::vector<float> x;
-    float label = 0;
-    for (const df::Record& rec : all) {
-      if (!feat::IsTestId(rec.id, 0.2)) continue;
-      (void)extract(rec, &x, &label);
-      metrics.Add(trained->Predict(x.data()), label > 0.5f ? 1 : 0);
-    }
+    auto metrics = ml::Evaluate(&engine, *test, extract, [&](const float* x) {
+      return trained->Predict(x);
+    });
+    if (!metrics.ok()) return 1;
     std::printf("feature node %-10s test F1 = %.1f%%\n",
-                arch->node(target).name.c_str(), 100 * metrics.F1());
+                arch->node(target).name.c_str(), 100 * metrics->F1());
   }
   return 0;
 }

@@ -22,32 +22,24 @@ vista::Result<double> StructOnlyF1(vista::df::Engine* engine,
                                    const vista::df::Table& t_str) {
   using namespace vista;
   const auto extractor = MakeTransferExtractor(-1, 2);
-  auto train = engine->MapPartitions(
-      t_str, [](std::vector<df::Record> records)
-                 -> Result<std::vector<df::Record>> {
-        std::vector<df::Record> out;
-        for (auto& r : records) {
-          if (!feat::IsTestId(r.id, 0.2)) out.push_back(std::move(r));
-        }
-        return out;
-      });
-  VISTA_RETURN_IF_ERROR(train.status());
+  VISTA_ASSIGN_OR_RETURN(df::Table train,
+                         engine->Filter(t_str, [](const df::Record& r) {
+                           return !feat::IsTestId(r.id, 0.2);
+                         }));
   ml::LogisticRegressionConfig lr;
   lr.iterations = 25;
   lr.learning_rate = 0.3;
   VISTA_ASSIGN_OR_RETURN(
       ml::LogisticRegressionModel model,
-      ml::TrainLogisticRegression(engine, *train, extractor, lr));
-  ml::BinaryMetrics metrics;
-  VISTA_ASSIGN_OR_RETURN(std::vector<df::Record> rows,
-                         engine->Collect(t_str));
-  std::vector<float> x;
-  float label = 0;
-  for (const df::Record& r : rows) {
-    if (!feat::IsTestId(r.id, 0.2)) continue;
-    VISTA_RETURN_IF_ERROR(extractor(r, &x, &label));
-    metrics.Add(model.Predict(x.data()), label > 0.5f ? 1 : 0);
-  }
+      ml::TrainLogisticRegression(engine, train, extractor, lr));
+  VISTA_ASSIGN_OR_RETURN(df::Table test,
+                         engine->Filter(t_str, [](const df::Record& r) {
+                           return feat::IsTestId(r.id, 0.2);
+                         }));
+  VISTA_ASSIGN_OR_RETURN(
+      ml::BinaryMetrics metrics,
+      ml::Evaluate(engine, test, extractor,
+                   [&](const float* x) { return model.Predict(x); }));
   return metrics.F1();
 }
 

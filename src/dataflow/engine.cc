@@ -385,15 +385,13 @@ Result<std::vector<Record>> Engine::ReadPartitionWithRetry(
   }
 }
 
-Result<Table> Engine::MapPartitions(const Table& input,
-                                    const MapPartitionsFn& fn,
-                                    int prefetch_depth) {
+Status Engine::RunMapTasks(const char* span_name, const Table& input,
+                           const PartitionFn& fn, int prefetch_depth) {
   const int np = input.num_partitions();
   const uint64_t op = NextOpSeq();
-  obs::ScopedSpan span(tracer_, "map_partitions", "engine");
+  obs::ScopedSpan span(tracer_, span_name, "engine");
   const int depth = EffectivePrefetchDepth(prefetch_depth);
   SeedPrefetch(input.partitions, depth);
-  std::vector<std::shared_ptr<Partition>> outputs(np);
   std::vector<Status> statuses(np);
   pool_->ParallelFor(np, [&](int64_t i) {
     PrefetchAhead(input.partitions, i, depth);
@@ -410,19 +408,9 @@ Result<Table> Engine::MapPartitions(const Table& input,
                                        "partition " + std::to_string(i));
       if (st.ok()) {
         auto records = ReadPartition(input.partitions[i]);
-        if (records.ok()) {
-          auto mapped = fn(std::move(records).value());
-          if (mapped.ok()) {
-            c_records_out_->Add(
-                static_cast<int64_t>(mapped.value().size()));
-            outputs[i] =
-                std::make_shared<Partition>(std::move(mapped).value());
-            return;
-          }
-          st = mapped.status();
-        } else {
-          st = records.status();
-        }
+        st = records.ok() ? fn(i, std::move(records).value())
+                          : records.status();
+        if (st.ok()) return;
       }
       if (attempt + 1 >= policy.max_attempts || !IsRetryable(policy, st)) {
         statuses[i] = st;
@@ -435,6 +423,24 @@ Result<Table> Engine::MapPartitions(const Table& input,
   for (const Status& st : statuses) {
     VISTA_RETURN_IF_ERROR(st);
   }
+  return Status::OK();
+}
+
+Result<Table> Engine::MapPartitions(const Table& input,
+                                    const MapPartitionsFn& fn,
+                                    int prefetch_depth) {
+  const int np = input.num_partitions();
+  std::vector<std::shared_ptr<Partition>> outputs(np);
+  VISTA_RETURN_IF_ERROR(RunMapTasks(
+      "map_partitions", input,
+      [&](int64_t i, std::vector<Record> records) -> Status {
+        VISTA_ASSIGN_OR_RETURN(std::vector<Record> mapped,
+                               fn(std::move(records)));
+        c_records_out_->Add(static_cast<int64_t>(mapped.size()));
+        outputs[i] = std::make_shared<Partition>(std::move(mapped));
+        return Status::OK();
+      },
+      prefetch_depth));
   Table out;
   out.partitions = std::move(outputs);
   if (config_.enable_lineage) {
@@ -444,6 +450,10 @@ Result<Table> Engine::MapPartitions(const Table& input,
     }
   }
   return out;
+}
+
+Status Engine::ForEachPartition(const Table& input, const PartitionFn& fn) {
+  return RunMapTasks("for_each_partition", input, fn, -1);
 }
 
 Status Engine::ShuffleSources(

@@ -175,6 +175,9 @@ class Engine {
   /// must be thread-compatible (no shared mutable state without locking).
   using MapPartitionsFn =
       std::function<Result<std::vector<Record>>(std::vector<Record>)>;
+  /// Read-only task over one partition's records, given its index.
+  using PartitionFn =
+      std::function<Status(int64_t partition, std::vector<Record> records)>;
 
   explicit Engine(EngineConfig config);
 
@@ -215,6 +218,12 @@ class Engine {
   /// read-ahead distance per inference step.
   Result<Table> MapPartitions(const Table& input, const MapPartitionsFn& fn,
                               int prefetch_depth = -1);
+
+  /// Runs `fn` on every partition in parallel as MapPartitions tasks do
+  /// (fault draws, retries, read-ahead, lineage), producing nothing. A
+  /// retried task calls `fn(i, ...)` again, so `fn` must store results by
+  /// overwriting slot i, never by accumulating into it.
+  Status ForEachPartition(const Table& input, const PartitionFn& fn);
 
   /// Non-blocking read-ahead hints for every currently spilled partition
   /// of `table` (bounded by the prefetch queue; excess hints drop). The
@@ -273,6 +282,12 @@ class Engine {
   Result<std::vector<Record>> ReadPartitionWithRetry(
       const std::shared_ptr<Partition>& p, uint64_t unit,
       const char* what);
+
+  /// The map-task loop behind MapPartitions and ForEachPartition: per
+  /// partition, draw a map-task fault, read (or recompute from lineage),
+  /// run `fn`, and retry under the policy. Records one `span_name` span.
+  Status RunMapTasks(const char* span_name, const Table& input,
+                     const PartitionFn& fn, int prefetch_depth);
 
   /// Issues read-ahead hints around task `i` of a partition-ordered loop:
   /// the initial window [0, depth) when i == 0 has not run yet is seeded

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 namespace vista::ml {
 namespace {
@@ -39,22 +40,21 @@ int DecisionTreeModel::depth() const {
 Result<DecisionTreeModel> TrainDecisionTree(
     df::Engine* engine, const df::Table& table,
     const FeatureExtractor& extract, const DecisionTreeConfig& config) {
+  // Gather every example to the driver, rows concatenated in partition
+  // order.
+  VISTA_ASSIGN_OR_RETURN(
+      ExamplePass<TrainingData> pass,
+      ForEachExample<TrainingData>(
+          engine, table, extract,
+          [](TrainingData* rows, const std::vector<float>& x, float label) {
+            rows->x.push_back(x);
+            rows->y.push_back(label > 0.5f ? 1 : 0);
+          }));
   TrainingData data;
-  for (const auto& p : table.partitions) {
-    VISTA_ASSIGN_OR_RETURN(std::vector<df::Record> records,
-                           engine->cache().ReadThrough(p));
-    std::vector<float> x;
-    float label = 0;
-    for (const df::Record& r : records) {
-      VISTA_RETURN_IF_ERROR(extract(r, &x, &label));
-      if (data.dim == 0) data.dim = static_cast<int64_t>(x.size());
-      if (static_cast<int64_t>(x.size()) != data.dim) {
-        return Status::InvalidArgument(
-            "inconsistent feature dimensionality in decision tree input");
-      }
-      data.x.push_back(x);
-      data.y.push_back(label > 0.5f ? 1 : 0);
-    }
+  data.dim = pass.dim;
+  for (TrainingData& rows : pass.slots) {
+    std::move(rows.x.begin(), rows.x.end(), std::back_inserter(data.x));
+    data.y.insert(data.y.end(), rows.y.begin(), rows.y.end());
   }
   if (data.x.empty()) {
     return Status::InvalidArgument("cannot train on an empty table");

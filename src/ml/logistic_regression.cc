@@ -1,7 +1,6 @@
 #include "ml/logistic_regression.h"
 
 #include <cmath>
-#include <mutex>
 
 namespace vista::ml {
 namespace {
@@ -15,6 +14,12 @@ double Sigmoid(double z) {
 }
 
 double Sign(double v) { return v > 0 ? 1.0 : (v < 0 ? -1.0 : 0.0); }
+
+/// One partition's share of the full-batch log-loss gradient.
+struct Gradient {
+  std::vector<double> w;
+  double bias = 0.0;
+};
 
 }  // namespace
 
@@ -31,72 +36,42 @@ Result<LogisticRegressionModel> TrainLogisticRegression(
   if (table.num_records() == 0) {
     return Status::InvalidArgument("cannot train on an empty table");
   }
-
-  // Infer dimensionality from the first nonempty partition.
+  // The first epoch runs before the dimensionality is known. Its weights
+  // are all zero, so the still-empty vector contributes nothing to z.
+  std::vector<double> weights;
   int64_t dim = -1;
-  for (const auto& p : table.partitions) {
-    if (p->num_records() == 0) continue;
-    VISTA_ASSIGN_OR_RETURN(std::vector<df::Record> records,
-                           engine->cache().ReadThrough(p));
-    std::vector<float> x;
-    float label = 0;
-    VISTA_RETURN_IF_ERROR(extract(records.front(), &x, &label));
-    dim = static_cast<int64_t>(x.size());
-    break;
-  }
-  if (dim <= 0) {
-    return Status::InvalidArgument("feature extractor produced no features");
-  }
-
-  std::vector<double> weights(dim, 0.0);
   double bias = 0.0;
-  const int64_t n = table.num_records();
+  const double scale = 1.0 / static_cast<double>(table.num_records());
+  const double l1 = config.reg_lambda * config.elastic_net_alpha;
+  const double l2 = config.reg_lambda * (1.0 - config.elastic_net_alpha);
 
   for (int iter = 0; iter < config.iterations; ++iter) {
+    VISTA_ASSIGN_OR_RETURN(
+        ExamplePass<Gradient> pass,
+        ForEachExample<Gradient>(
+            engine, table, extract,
+            [&](Gradient* g, const std::vector<float>& x, float label) {
+              if (g->w.empty()) g->w.assign(x.size(), 0.0);
+              double z = bias;
+              for (size_t i = 0; i < weights.size(); ++i) {
+                z += weights[i] * x[i];
+              }
+              const double err = Sigmoid(z) - static_cast<double>(label);
+              for (size_t i = 0; i < x.size(); ++i) g->w[i] += err * x[i];
+              g->bias += err;
+            }));
+    if (pass.dim <= 0) {
+      return Status::InvalidArgument("feature extractor produced no features");
+    }
+    VISTA_RETURN_IF_ERROR(internal::MatchDim(pass.dim, &dim));
+    weights.resize(dim, 0.0);
+    // Fold the partition gradients in partition order.
     std::vector<double> grad(dim, 0.0);
     double grad_bias = 0.0;
-    std::mutex merge_mu;
-    Status extract_status = Status::OK();
-
-    // Partition-parallel gradient pass; each task accumulates a local
-    // gradient and merges it once, mirroring a distributed tree-aggregate.
-    auto pass = engine->MapPartitions(
-        table,
-        [&](std::vector<df::Record> records)
-            -> Result<std::vector<df::Record>> {
-          std::vector<double> local(dim, 0.0);
-          double local_bias = 0.0;
-          std::vector<float> x;
-          float label = 0;
-          for (const df::Record& r : records) {
-            VISTA_RETURN_IF_ERROR(extract(r, &x, &label));
-            if (static_cast<int64_t>(x.size()) != dim) {
-              return Status::InvalidArgument(
-                  "inconsistent feature dimensionality: got " +
-                  std::to_string(x.size()) + ", expected " +
-                  std::to_string(dim));
-            }
-            double z = bias;
-            for (int64_t i = 0; i < dim; ++i) z += weights[i] * x[i];
-            const double err = Sigmoid(z) - static_cast<double>(label);
-            for (int64_t i = 0; i < dim; ++i) {
-              local[i] += err * x[i];
-            }
-            local_bias += err;
-          }
-          {
-            std::lock_guard<std::mutex> lock(merge_mu);
-            for (int64_t i = 0; i < dim; ++i) grad[i] += local[i];
-            grad_bias += local_bias;
-          }
-          return std::vector<df::Record>{};
-        });
-    VISTA_RETURN_IF_ERROR(pass.status());
-    VISTA_RETURN_IF_ERROR(extract_status);
-
-    const double scale = 1.0 / static_cast<double>(n);
-    const double l1 = config.reg_lambda * config.elastic_net_alpha;
-    const double l2 = config.reg_lambda * (1.0 - config.elastic_net_alpha);
+    for (const Gradient& g : pass.slots) {
+      for (size_t i = 0; i < g.w.size(); ++i) grad[i] += g.w[i];
+      grad_bias += g.bias;
+    }
     for (int64_t i = 0; i < dim; ++i) {
       const double g =
           grad[i] * scale + l1 * Sign(weights[i]) + l2 * weights[i];
@@ -110,32 +85,28 @@ Result<LogisticRegressionModel> TrainLogisticRegression(
 Result<double> LogisticLogLoss(df::Engine* engine, const df::Table& table,
                                const FeatureExtractor& extract,
                                const LogisticRegressionModel& model) {
-  double loss = 0.0;
-  int64_t n = 0;
-  std::mutex mu;
-  auto pass = engine->MapPartitions(
-      table,
-      [&](std::vector<df::Record> records)
-          -> Result<std::vector<df::Record>> {
-        double local = 0.0;
-        int64_t count = 0;
-        std::vector<float> x;
-        float label = 0;
-        for (const df::Record& r : records) {
-          VISTA_RETURN_IF_ERROR(extract(r, &x, &label));
-          const double p = model.PredictProbability(x.data());
-          const double eps = 1e-12;
-          local -= label > 0.5 ? std::log(p + eps) : std::log(1 - p + eps);
-          ++count;
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        loss += local;
-        n += count;
-        return std::vector<df::Record>{};
-      });
-  VISTA_RETURN_IF_ERROR(pass.status());
-  if (n == 0) return Status::InvalidArgument("empty table");
-  return loss / static_cast<double>(n);
+  struct Loss {
+    double sum = 0.0;
+    int64_t count = 0;
+  };
+  VISTA_ASSIGN_OR_RETURN(
+      ExamplePass<Loss> pass,
+      ForEachExample<Loss>(
+          engine, table, extract,
+          [&](Loss* loss, const std::vector<float>& x, float label) {
+            const double p = model.PredictProbability(x.data());
+            const double eps = 1e-12;
+            loss->sum -=
+                label > 0.5 ? std::log(p + eps) : std::log(1 - p + eps);
+            ++loss->count;
+          }));
+  Loss total;
+  for (const Loss& loss : pass.slots) {
+    total.sum += loss.sum;
+    total.count += loss.count;
+  }
+  if (total.count == 0) return Status::InvalidArgument("empty table");
+  return total.sum / static_cast<double>(total.count);
 }
 
 }  // namespace vista::ml

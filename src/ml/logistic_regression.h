@@ -1,20 +1,13 @@
 #ifndef VISTA_ML_LOGISTIC_REGRESSION_H_
 #define VISTA_ML_LOGISTIC_REGRESSION_H_
 
-#include <functional>
 #include <vector>
 
 #include "common/status.h"
 #include "dataflow/engine.h"
+#include "ml/example_pass.h"
 
 namespace vista::ml {
-
-/// Maps a dataflow record to a training example: fills `*x` with the
-/// feature vector and `*label` with the binary target (0/1). The extractor
-/// must produce the same dimensionality for every record.
-using FeatureExtractor =
-    std::function<Status(const df::Record&, std::vector<float>* x,
-                         float* label)>;
 
 /// Configuration for elastic-net logistic regression trained with full-batch
 /// gradient descent over a partitioned table (the paper's downstream M,
@@ -54,9 +47,11 @@ class LogisticRegressionModel {
   double bias_ = 0.0;
 };
 
-/// Trains logistic regression over `table` with partition-parallel gradient
-/// computation on `engine`. Feature dimensionality is inferred from the
-/// first record. Labels must be 0/1.
+/// Trains logistic regression over `table` with one example pass per epoch
+/// on `engine`, folding the partition gradients in partition order, so the
+/// weights are bit-identical at any thread count. Feature dimensionality
+/// is learned in the first epoch (zero iterations return an empty model,
+/// which predicts like an all-zero one). Labels must be 0/1.
 Result<LogisticRegressionModel> TrainLogisticRegression(
     df::Engine* engine, const df::Table& table,
     const FeatureExtractor& extract, const LogisticRegressionConfig& config);

@@ -47,6 +47,30 @@ void BinaryMetrics::Add(int predicted, int actual) {
   }
 }
 
+BinaryMetrics& BinaryMetrics::operator+=(const BinaryMetrics& other) {
+  true_positives += other.true_positives;
+  false_positives += other.false_positives;
+  true_negatives += other.true_negatives;
+  false_negatives += other.false_negatives;
+  return *this;
+}
+
+Result<BinaryMetrics> Evaluate(
+    df::Engine* engine, const df::Table& table,
+    const FeatureExtractor& extract,
+    const std::function<int(const float*)>& predict) {
+  VISTA_ASSIGN_OR_RETURN(
+      ExamplePass<BinaryMetrics> pass,
+      ForEachExample<BinaryMetrics>(
+          engine, table, extract,
+          [&](BinaryMetrics* m, const std::vector<float>& x, float label) {
+            m->Add(predict(x.data()), label > 0.5f ? 1 : 0);
+          }));
+  BinaryMetrics total;
+  for (const BinaryMetrics& m : pass.slots) total += m;
+  return total;
+}
+
 double RocAuc(const std::vector<double>& scores,
               const std::vector<int>& actual) {
   VISTA_CHECK_EQ(scores.size(), actual.size());

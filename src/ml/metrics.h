@@ -2,7 +2,12 @@
 #define VISTA_ML_METRICS_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
+
+#include "common/status.h"
+#include "dataflow/engine.h"
+#include "ml/example_pass.h"
 
 namespace vista::ml {
 
@@ -24,7 +29,14 @@ struct BinaryMetrics {
   double F1() const;
 
   void Add(int predicted, int actual);
+  BinaryMetrics& operator+=(const BinaryMetrics& other);
 };
+
+/// Scores `predict` (0/1 from a feature vector) against the labels of
+/// every example `extract` draws from `table`, in one example pass.
+Result<BinaryMetrics> Evaluate(df::Engine* engine, const df::Table& table,
+                               const FeatureExtractor& extract,
+                               const std::function<int(const float*)>& predict);
 
 /// Computes metrics from parallel prediction/label vectors (values are
 /// 0/1; anything nonzero counts as positive).

@@ -1,7 +1,6 @@
 #include "ml/mlp.h"
 
 #include <cmath>
-#include <mutex>
 
 namespace vista::ml {
 namespace {
@@ -57,18 +56,15 @@ Result<MlpModel> TrainMlp(df::Engine* engine, const df::Table& table,
   if (table.num_records() == 0) {
     return Status::InvalidArgument("cannot train on an empty table");
   }
-  // Infer input dimensionality.
-  int64_t dim = -1;
-  for (const auto& p : table.partitions) {
-    if (p->num_records() == 0) continue;
-    VISTA_ASSIGN_OR_RETURN(std::vector<df::Record> records,
-                           engine->cache().ReadThrough(p));
-    std::vector<float> x;
-    float label = 0;
-    VISTA_RETURN_IF_ERROR(extract(records.front(), &x, &label));
-    dim = static_cast<int64_t>(x.size());
-    break;
-  }
+  // The first layer cannot be initialized before the input width is known,
+  // so one extract-only pass learns it.
+  struct Nothing {};
+  VISTA_ASSIGN_OR_RETURN(
+      ExamplePass<Nothing> shape,
+      ForEachExample<Nothing>(
+          engine, table, extract,
+          [](Nothing*, const std::vector<float>&, float) {}));
+  const int64_t dim = shape.dim;
   if (dim <= 0) {
     return Status::InvalidArgument("feature extractor produced no features");
   }
@@ -98,81 +94,74 @@ Result<MlpModel> TrainMlp(df::Engine* engine, const df::Table& table,
   for (double& v : out_layer.w) v = rng.NextGaussian() * stddev;
   model.layers_.push_back(std::move(out_layer));
 
-  const int64_t n = table.num_records();
+  // Per-layer weight and bias gradients, shaped like the model's layers.
+  struct Gradient {
+    std::vector<std::vector<double>> w, b;
+  };
+  const auto zeros = [&model] {
+    Gradient g;
+    for (const MlpModel::Layer& layer : model.layers_) {
+      g.w.emplace_back(layer.w.size(), 0.0);
+      g.b.emplace_back(layer.b.size(), 0.0);
+    }
+    return g;
+  };
+  const double scale =
+      config.learning_rate / static_cast<double>(table.num_records());
   const size_t num_layers = model.layers_.size();
 
   for (int iter = 0; iter < config.iterations; ++iter) {
-    // Zero-initialized gradient accumulators mirroring layer shapes.
-    std::vector<std::vector<double>> grad_w(num_layers);
-    std::vector<std::vector<double>> grad_b(num_layers);
-    for (size_t li = 0; li < num_layers; ++li) {
-      grad_w[li].assign(model.layers_[li].w.size(), 0.0);
-      grad_b[li].assign(model.layers_[li].b.size(), 0.0);
+    VISTA_ASSIGN_OR_RETURN(
+        ExamplePass<Gradient> pass,
+        ForEachExample<Gradient>(
+            engine, table, extract,
+            [&](Gradient* g, const std::vector<float>& x, float label) {
+              if (g->w.empty()) *g = zeros();
+              std::vector<std::vector<double>> acts;
+              const double p = model.Forward(x.data(), &acts);
+              // dL/dlogit for sigmoid + cross-entropy.
+              std::vector<double> delta{p - static_cast<double>(label)};
+              for (int li = static_cast<int>(num_layers) - 1; li >= 0; --li) {
+                const MlpModel::Layer& layer = model.layers_[li];
+                const std::vector<double>& input = acts[li];
+                std::vector<double> next_delta(layer.in, 0.0);
+                for (int64_t r_out = 0; r_out < layer.out; ++r_out) {
+                  const double d = delta[r_out];
+                  if (d == 0.0) continue;
+                  double* gw = g->w[li].data() + r_out * layer.in;
+                  const double* wr = layer.w.data() + r_out * layer.in;
+                  for (int64_t c = 0; c < layer.in; ++c) {
+                    gw[c] += d * input[c];
+                    next_delta[c] += d * wr[c];
+                  }
+                  g->b[li][r_out] += d;
+                }
+                if (li > 0) {
+                  // Gate by the ReLU derivative of the previous activation.
+                  for (int64_t c = 0; c < layer.in; ++c) {
+                    if (acts[li][c] <= 0.0) next_delta[c] = 0.0;
+                  }
+                }
+                delta = std::move(next_delta);
+              }
+            }));
+
+    // Fold the partition gradients in partition order.
+    Gradient grad = zeros();
+    for (const Gradient& g : pass.slots) {
+      if (g.w.empty()) continue;  // Empty partition.
+      for (size_t li = 0; li < num_layers; ++li) {
+        for (size_t i = 0; i < g.w[li].size(); ++i) grad.w[li][i] += g.w[li][i];
+        for (size_t i = 0; i < g.b[li].size(); ++i) grad.b[li][i] += g.b[li][i];
+      }
     }
-    std::mutex merge_mu;
-
-    auto pass = engine->MapPartitions(
-        table,
-        [&](std::vector<df::Record> records)
-            -> Result<std::vector<df::Record>> {
-          std::vector<std::vector<double>> lw(num_layers), lb(num_layers);
-          for (size_t li = 0; li < num_layers; ++li) {
-            lw[li].assign(model.layers_[li].w.size(), 0.0);
-            lb[li].assign(model.layers_[li].b.size(), 0.0);
-          }
-          std::vector<float> x;
-          float label = 0;
-          std::vector<std::vector<double>> acts;
-          for (const df::Record& r : records) {
-            VISTA_RETURN_IF_ERROR(extract(r, &x, &label));
-            const double p = model.Forward(x.data(), &acts);
-            // dL/dlogit for sigmoid + cross-entropy.
-            std::vector<double> delta{p - static_cast<double>(label)};
-            for (int li = static_cast<int>(num_layers) - 1; li >= 0; --li) {
-              const MlpModel::Layer& layer = model.layers_[li];
-              const std::vector<double>& input = acts[li];
-              std::vector<double> next_delta(layer.in, 0.0);
-              for (int64_t r_out = 0; r_out < layer.out; ++r_out) {
-                const double d = delta[r_out];
-                if (d == 0.0) continue;
-                double* gw = lw[li].data() + r_out * layer.in;
-                const double* wr = layer.w.data() + r_out * layer.in;
-                for (int64_t c = 0; c < layer.in; ++c) {
-                  gw[c] += d * input[c];
-                  next_delta[c] += d * wr[c];
-                }
-                lb[li][r_out] += d;
-              }
-              if (li > 0) {
-                // Gate by the ReLU derivative of the previous activation.
-                for (int64_t c = 0; c < layer.in; ++c) {
-                  if (acts[li][c] <= 0.0) next_delta[c] = 0.0;
-                }
-              }
-              delta = std::move(next_delta);
-            }
-          }
-          std::lock_guard<std::mutex> lock(merge_mu);
-          for (size_t li = 0; li < num_layers; ++li) {
-            for (size_t i = 0; i < lw[li].size(); ++i) {
-              grad_w[li][i] += lw[li][i];
-            }
-            for (size_t i = 0; i < lb[li].size(); ++i) {
-              grad_b[li][i] += lb[li][i];
-            }
-          }
-          return std::vector<df::Record>{};
-        });
-    VISTA_RETURN_IF_ERROR(pass.status());
-
-    const double scale = config.learning_rate / static_cast<double>(n);
     for (size_t li = 0; li < num_layers; ++li) {
       MlpModel::Layer& layer = model.layers_[li];
       for (size_t i = 0; i < layer.w.size(); ++i) {
-        layer.w[i] -= scale * grad_w[li][i];
+        layer.w[i] -= scale * grad.w[li][i];
       }
       for (size_t i = 0; i < layer.b.size(); ++i) {
-        layer.b[i] -= scale * grad_b[li][i];
+        layer.b[i] -= scale * grad.b[li][i];
       }
     }
   }

@@ -1,7 +1,7 @@
 #include "ml/scaler.h"
 
+#include <algorithm>
 #include <cmath>
-#include <mutex>
 
 namespace vista::ml {
 
@@ -11,54 +11,37 @@ Result<StandardScaler> StandardScaler::Fit(df::Engine* engine,
   if (table.num_records() == 0) {
     return Status::InvalidArgument("cannot fit a scaler on an empty table");
   }
-  std::mutex mu;
-  std::vector<double> sum, sum_sq;
-  int64_t count = 0;
-  auto pass = engine->MapPartitions(
-      table,
-      [&](std::vector<df::Record> records)
-          -> Result<std::vector<df::Record>> {
-        std::vector<double> local_sum, local_sq;
-        int64_t local_count = 0;
-        std::vector<float> x;
-        float label = 0;
-        for (const df::Record& r : records) {
-          VISTA_RETURN_IF_ERROR(extract(r, &x, &label));
-          if (local_sum.empty()) {
-            local_sum.assign(x.size(), 0.0);
-            local_sq.assign(x.size(), 0.0);
-          }
-          if (local_sum.size() != x.size()) {
-            return Status::InvalidArgument(
-                "inconsistent feature dimensionality while fitting scaler");
-          }
-          for (size_t i = 0; i < x.size(); ++i) {
-            local_sum[i] += x[i];
-            local_sq[i] += static_cast<double>(x[i]) * x[i];
-          }
-          ++local_count;
-        }
-        if (local_count > 0) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (sum.empty()) {
-            sum.assign(local_sum.size(), 0.0);
-            sum_sq.assign(local_sum.size(), 0.0);
-          }
-          if (sum.size() != local_sum.size()) {
-            return Status::InvalidArgument(
-                "inconsistent feature dimensionality across partitions");
-          }
-          for (size_t i = 0; i < sum.size(); ++i) {
-            sum[i] += local_sum[i];
-            sum_sq[i] += local_sq[i];
-          }
-          count += local_count;
-        }
-        return std::vector<df::Record>{};
-      });
-  VISTA_RETURN_IF_ERROR(pass.status());
-  if (count == 0 || sum.empty()) {
+  struct Moments {
+    std::vector<double> sum, sum_sq;
+    int64_t count = 0;
+  };
+  VISTA_ASSIGN_OR_RETURN(
+      ExamplePass<Moments> pass,
+      ForEachExample<Moments>(
+          engine, table, extract,
+          [](Moments* m, const std::vector<float>& x, float) {
+            if (m->sum.empty()) {
+              m->sum.assign(x.size(), 0.0);
+              m->sum_sq.assign(x.size(), 0.0);
+            }
+            for (size_t i = 0; i < x.size(); ++i) {
+              m->sum[i] += x[i];
+              m->sum_sq[i] += static_cast<double>(x[i]) * x[i];
+            }
+            ++m->count;
+          }));
+  if (pass.dim == 0) {
     return Status::InvalidArgument("scaler saw no feature vectors");
+  }
+  // Fold the partition moments in partition order.
+  std::vector<double> sum(pass.dim, 0.0), sum_sq(pass.dim, 0.0);
+  int64_t count = 0;
+  for (const Moments& m : pass.slots) {
+    for (size_t i = 0; i < m.sum.size(); ++i) {
+      sum[i] += m.sum[i];
+      sum_sq[i] += m.sum_sq[i];
+    }
+    count += m.count;
   }
   StandardScaler scaler;
   scaler.mean_.resize(sum.size());

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 
 #include "common/stopwatch.h"
 #include "features/synthetic.h"
@@ -357,32 +356,18 @@ Result<LayerRunResult> RealExecutor::RunTrain(
   const double test_fraction = config.test_fraction;
 
   // Deterministic train/test split by id hash.
-  auto train_split = engine_->MapPartitions(
-      input, [test_fraction](std::vector<df::Record> records)
-                 -> Result<std::vector<df::Record>> {
-        std::vector<df::Record> out;
-        for (df::Record& r : records) {
-          if (!feat::IsTestId(r.id, test_fraction)) {
-            out.push_back(std::move(r));
-          }
-        }
-        return out;
-      });
-  VISTA_RETURN_IF_ERROR(train_split.status());
-  auto test_split = engine_->MapPartitions(
-      input, [test_fraction](std::vector<df::Record> records)
-                 -> Result<std::vector<df::Record>> {
-        std::vector<df::Record> out;
-        for (df::Record& r : records) {
-          if (feat::IsTestId(r.id, test_fraction)) {
-            out.push_back(std::move(r));
-          }
-        }
-        return out;
-      });
-  VISTA_RETURN_IF_ERROR(test_split.status());
+  VISTA_ASSIGN_OR_RETURN(
+      df::Table train,
+      engine_->Filter(input, [test_fraction](const df::Record& r) {
+        return !feat::IsTestId(r.id, test_fraction);
+      }));
+  VISTA_ASSIGN_OR_RETURN(
+      df::Table test,
+      engine_->Filter(input, [test_fraction](const df::Record& r) {
+        return feat::IsTestId(r.id, test_fraction);
+      }));
 
-  // Train the configured downstream model and collect test predictions.
+  // Train the configured downstream model, then score it on the test split.
   std::function<int(const float*)> predict;
   switch (workload.model) {
     case DownstreamModel::kLogisticRegression: {
@@ -390,7 +375,7 @@ Result<LayerRunResult> RealExecutor::RunTrain(
       lr.iterations = workload.training_iterations;
       VISTA_ASSIGN_OR_RETURN(
           ml::LogisticRegressionModel model,
-          ml::TrainLogisticRegression(engine_, *train_split, extractor, lr));
+          ml::TrainLogisticRegression(engine_, train, extractor, lr));
       predict = [model = std::move(model)](const float* x) {
         return model.Predict(x);
       };
@@ -400,8 +385,7 @@ Result<LayerRunResult> RealExecutor::RunTrain(
       ml::MlpConfig mlp = config.mlp;
       mlp.iterations = workload.training_iterations;
       VISTA_ASSIGN_OR_RETURN(ml::MlpModel model,
-                             ml::TrainMlp(engine_, *train_split, extractor,
-                                          mlp));
+                             ml::TrainMlp(engine_, train, extractor, mlp));
       predict = [model = std::move(model)](const float* x) {
         return model.Predict(x);
       };
@@ -410,41 +394,17 @@ Result<LayerRunResult> RealExecutor::RunTrain(
     case DownstreamModel::kDecisionTree: {
       VISTA_ASSIGN_OR_RETURN(
           ml::DecisionTreeModel model,
-          ml::TrainDecisionTree(engine_, *train_split, extractor,
-                                config.tree));
+          ml::TrainDecisionTree(engine_, train, extractor, config.tree));
       predict = [model = std::move(model)](const float* x) {
         return model.Predict(x);
       };
       break;
     }
   }
-
-  // Evaluate on the held-out split.
-  std::mutex metrics_mu;
-  ml::BinaryMetrics metrics;
-  auto eval = engine_->MapPartitions(
-      *test_split,
-      [&](std::vector<df::Record> records)
-          -> Result<std::vector<df::Record>> {
-        ml::BinaryMetrics local;
-        std::vector<float> x;
-        float label = 0;
-        for (const df::Record& r : records) {
-          VISTA_RETURN_IF_ERROR(extractor(r, &x, &label));
-          local.Add(predict(x.data()), label > 0.5f ? 1 : 0);
-        }
-        std::lock_guard<std::mutex> lock(metrics_mu);
-        metrics.true_positives += local.true_positives;
-        metrics.false_positives += local.false_positives;
-        metrics.true_negatives += local.true_negatives;
-        metrics.false_negatives += local.false_negatives;
-        return std::vector<df::Record>{};
-      });
-  VISTA_RETURN_IF_ERROR(eval.status());
-
+  VISTA_ASSIGN_OR_RETURN(result.test_metrics,
+                         ml::Evaluate(engine_, test, extractor, predict));
   result.train_seconds = watch.ElapsedSeconds();
-  result.test_metrics = metrics;
-  result.test_f1 = metrics.F1();
+  result.test_f1 = result.test_metrics.F1();
   return result;
 }
 
@@ -515,7 +475,6 @@ Status RealExecutor::RunSteps(const CompiledPlan& plan,
           return Status::Internal("inference references unknown table");
         }
         obs::ScopedSpan span(&engine_->tracer(), "inference", "stage");
-        Stopwatch watch;
         int64_t flops = 0;
         int64_t int8_ops = 0;
         VISTA_ASSIGN_OR_RETURN(
@@ -523,22 +482,6 @@ Status RealExecutor::RunSteps(const CompiledPlan& plan,
             RunInference(step, in->second.table, config, &flops, &int8_ops));
         run.inference_flops += flops;
         run.inference_int8_ops += int8_ops;
-        // Attribute inference time to the layers being produced.
-        const double seconds = watch.ElapsedSeconds();
-        for (int l : step.produce_layers) {
-          bool found = false;
-          for (LayerRunResult& lr : run.per_layer) {
-            if (lr.layer_index == l) found = true;
-          }
-          if (!found) {
-            LayerRunResult lr;
-            lr.layer_index = l;
-            lr.layer_name = model_->arch().layer(l).name;
-            lr.inference_seconds =
-                seconds / static_cast<double>(step.produce_layers.size());
-            run.per_layer.push_back(std::move(lr));
-          }
-        }
         TableState state;
         state.table = std::move(produced);
         state.slots = step.produce_layers;
@@ -554,18 +497,7 @@ Status RealExecutor::RunSteps(const CompiledPlan& plan,
         VISTA_ASSIGN_OR_RETURN(
             LayerRunResult lr,
             RunTrain(step, workload, in->second.table, config));
-        // Merge with the inference-time entry for this layer.
-        bool merged = false;
-        for (LayerRunResult& existing : run.per_layer) {
-          if (existing.layer_index == lr.layer_index) {
-            existing.train_seconds = lr.train_seconds;
-            existing.test_metrics = lr.test_metrics;
-            existing.test_f1 = lr.test_f1;
-            merged = true;
-            break;
-          }
-        }
-        if (!merged) run.per_layer.push_back(std::move(lr));
+        run.per_layer.push_back(std::move(lr));
         break;
       }
       case PlanStep::Kind::kPersist: {

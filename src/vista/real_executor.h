@@ -95,8 +95,6 @@ struct RealExecutorConfig {
 struct LayerRunResult {
   int layer_index = -1;
   std::string layer_name;
-  /// Seconds spent on the partial inference that materialized this layer.
-  double inference_seconds = 0;
   double train_seconds = 0;
   ml::BinaryMetrics test_metrics;
   double test_f1 = 0;

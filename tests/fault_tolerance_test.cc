@@ -11,6 +11,7 @@
 #include "dataflow/engine.h"
 #include "dl/model_zoo.h"
 #include "features/synthetic.h"
+#include "ml/scaler.h"
 #include "vista/real_executor.h"
 
 namespace vista {
@@ -352,6 +353,71 @@ TEST(EngineFaultTest, LostSpillIsRecomputedFromLineage) {
   const auto recovery = engine.stats().recovery;
   EXPECT_GT(recovery.recomputed_partitions, 0);
   EXPECT_GT(recovery.injected_faults, 0);
+}
+
+// The downstream models read their training tables through the engine's
+// map tasks, so a lost spill is rebuilt from lineage there too instead of
+// failing the training job.
+TEST(EngineFaultTest, DownstreamModelsRecomputeLostSpillsFromLineage) {
+  df::EngineConfig config;
+  config.cpus_per_worker = 2;
+  config.budgets.storage = 2 * 1024;  // Tiny: every persist spills.
+  config.retry.max_attempts = 2;
+  config.retry.base_backoff_ms = 0.0;
+  df::Engine engine(config);
+  df::Table in = MakeNumbersTable(&engine, 400, 4);
+  auto derived = engine.MapPartitions(in, DoubleFirstFeature());
+  ASSERT_TRUE(derived.ok());
+  ASSERT_TRUE(
+      engine.Persist(&*derived, df::PersistenceFormat::kSerialized).ok());
+  ASSERT_GT(engine.stats().num_spills, 0);
+
+  FaultInjectorConfig faults = engine.fault_injector().config();
+  faults.spill_read_failure_rate = 1.0;
+  engine.fault_injector().Configure(faults);
+
+  const ml::FeatureExtractor extract = [](const df::Record& r,
+                                          std::vector<float>* x,
+                                          float* label) {
+    *label = static_cast<float>(r.id % 2);
+    x->assign(r.struct_features.begin(), r.struct_features.end());
+    return Status::OK();
+  };
+  // True iff lineage rebuilt more partitions since the previous call.
+  int64_t recomputed = 0;
+  auto recomputed_more = [&] {
+    const int64_t now = engine.stats().recovery.recomputed_partitions;
+    const bool more = now > recomputed;
+    recomputed = now;
+    return more;
+  };
+
+  ml::LogisticRegressionConfig lr;
+  lr.iterations = 2;
+  auto lr_model = ml::TrainLogisticRegression(&engine, *derived, extract, lr);
+  EXPECT_TRUE(lr_model.ok()) << lr_model.status();
+  EXPECT_TRUE(recomputed_more());
+
+  ml::MlpConfig mlp;
+  mlp.hidden_sizes = {4};
+  mlp.iterations = 2;
+  auto mlp_model = ml::TrainMlp(&engine, *derived, extract, mlp);
+  EXPECT_TRUE(mlp_model.ok()) << mlp_model.status();
+  EXPECT_TRUE(recomputed_more());
+
+  auto tree = ml::TrainDecisionTree(&engine, *derived, extract, {});
+  EXPECT_TRUE(tree.ok()) << tree.status();
+  EXPECT_TRUE(recomputed_more());
+
+  auto scaler = ml::StandardScaler::Fit(&engine, *derived, extract);
+  EXPECT_TRUE(scaler.ok()) << scaler.status();
+  EXPECT_TRUE(recomputed_more());
+
+  auto metrics = ml::Evaluate(&engine, *derived, extract,
+                              [](const float*) { return 1; });
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(metrics->total(), 400);
+  EXPECT_TRUE(recomputed_more());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 #include "ml/logistic_regression.h"
 #include "ml/metrics.h"
 #include "ml/mlp.h"
+#include "ml/scaler.h"
 
 namespace vista::ml {
 namespace {
@@ -54,15 +57,9 @@ Status Extract(const df::Record& r, std::vector<float>* x, float* label) {
 
 double TrainAccuracy(df::Engine* engine, const df::Table& table,
                      const std::function<int(const float*)>& predict) {
-  auto rows = engine->Collect(table);
-  BinaryMetrics m;
-  std::vector<float> x;
-  float label = 0;
-  for (const df::Record& r : *rows) {
-    Extract(r, &x, &label).ok();
-    m.Add(predict(x.data()), label > 0.5f ? 1 : 0);
-  }
-  return m.Accuracy();
+  auto metrics = Evaluate(engine, table, Extract, predict);
+  EXPECT_TRUE(metrics.ok()) << metrics.status();
+  return metrics.ok() ? metrics->Accuracy() : 0.0;
 }
 
 TEST(MetricsTest, ConfusionCounts) {
@@ -287,6 +284,157 @@ TEST(DecisionTreeTest, RespectsMinSamplesLeaf) {
   auto model = TrainDecisionTree(&engine, *table, Extract, config);
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(model->num_nodes(), 1);
+}
+
+TEST(ExamplePassTest, RejectsInconsistentDimensionality) {
+  df::Engine engine(df::EngineConfig{});
+  auto table = engine.MakeTable(LinearData(200, 9), 4);
+  ASSERT_TRUE(table.ok());
+  const FeatureExtractor ragged = [](const df::Record& r,
+                                     std::vector<float>* x, float* label) {
+    VISTA_RETURN_IF_ERROR(Extract(r, x, label));
+    if (r.id == 123) x->push_back(0.0f);
+    return Status::OK();
+  };
+  EXPECT_TRUE(TrainLogisticRegression(&engine, *table, ragged, {})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      Evaluate(&engine, *table, ragged, [](const float*) { return 0; })
+          .status()
+          .IsInvalidArgument());
+}
+
+TEST(EvaluateTest, CountsEveryExampleOfTheTable) {
+  df::Engine engine(df::EngineConfig{});
+  auto table = engine.MakeTable(LinearData(500, 10), 4);
+  ASSERT_TRUE(table.ok());
+  // Predicting the label itself: every positive is a TP, every negative a
+  // TN.
+  auto metrics = Evaluate(&engine, *table, Extract, [](const float* x) {
+    return 2.0f * x[0] - x[1] > 0 ? 1 : 0;
+  });
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(metrics->total(), 500);
+  EXPECT_EQ(metrics->false_positives + metrics->false_negatives, 0);
+  EXPECT_GT(metrics->true_positives, 0);
+  EXPECT_GT(metrics->true_negatives, 0);
+}
+
+// A wide table: with 300 features, a floating-point reduction that merges
+// partitions in task-completion order changes the last bits of most sums.
+std::vector<df::Record> WideData(int n, int features, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<df::Record> records;
+  records.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    df::Record r;
+    r.id = i;
+    r.struct_features.assign(features + 1, 0.0f);
+    double score = 0;
+    for (int f = 1; f <= features; ++f) {
+      r.struct_features[f] = static_cast<float>(rng.NextGaussian());
+      if (f <= 10) score += r.struct_features[f];
+    }
+    r.struct_features[0] = score + rng.NextGaussian() > 0 ? 1.0f : 0.0f;
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
+/// Everything the downstream models learn from one table.
+struct Learned {
+  std::vector<double> lr_weights;
+  double lr_bias = 0;
+  double lr_log_loss = 0;
+  /// MLP PredictProbability on fixed probe rows.
+  std::vector<double> mlp_probes;
+  std::vector<double> scaler_mean;
+  std::vector<double> scaler_stddev;
+  int64_t retries = 0;
+};
+
+Learned LearnAll(const df::EngineConfig& config,
+                 const std::vector<df::Record>& records) {
+  df::Engine engine(config);
+  Learned out;
+  auto table = engine.MakeTable(records, 8);
+  EXPECT_TRUE(table.ok());
+  LogisticRegressionConfig lr;
+  lr.iterations = 10;
+  auto lr_model = TrainLogisticRegression(&engine, *table, Extract, lr);
+  EXPECT_TRUE(lr_model.ok()) << lr_model.status();
+  if (!lr_model.ok()) return out;
+  out.lr_weights = lr_model->weights();
+  out.lr_bias = lr_model->bias();
+  out.lr_log_loss =
+      LogisticLogLoss(&engine, *table, Extract, *lr_model).ValueOr(-1);
+
+  MlpConfig mlp;
+  mlp.hidden_sizes = {16};
+  mlp.iterations = 3;
+  auto mlp_model = TrainMlp(&engine, *table, Extract, mlp);
+  EXPECT_TRUE(mlp_model.ok()) << mlp_model.status();
+  if (!mlp_model.ok()) return out;
+  std::vector<float> x;
+  float label = 0;
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(Extract(records[i], &x, &label).ok());
+    out.mlp_probes.push_back(mlp_model->PredictProbability(x.data()));
+  }
+
+  auto scaler = StandardScaler::Fit(&engine, *table, Extract);
+  EXPECT_TRUE(scaler.ok()) << scaler.status();
+  if (!scaler.ok()) return out;
+  out.scaler_mean = scaler->mean();
+  out.scaler_stddev = scaler->stddev();
+  out.retries = engine.stats().recovery.retries;
+  return out;
+}
+
+bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectBitEqual(const Learned& a, const Learned& b) {
+  EXPECT_TRUE(BitEqual(a.lr_weights, b.lr_weights));
+  EXPECT_TRUE(BitEqual(a.lr_bias, b.lr_bias));
+  EXPECT_TRUE(BitEqual(a.lr_log_loss, b.lr_log_loss));
+  EXPECT_TRUE(BitEqual(a.mlp_probes, b.mlp_probes));
+  EXPECT_TRUE(BitEqual(a.scaler_mean, b.scaler_mean));
+  EXPECT_TRUE(BitEqual(a.scaler_stddev, b.scaler_stddev));
+}
+
+// Every reduction folds partitions in partition order, so trained models
+// do not depend on thread count, task-completion order or retried tasks.
+TEST(DeterminismTest, ModelsAreBitIdenticalAcrossThreadsAndRetries) {
+  const std::vector<df::Record> records = WideData(4000, 300, 31);
+  df::EngineConfig serial;
+  serial.cpus_per_worker = 1;
+  const Learned reference = LearnAll(serial, records);
+  ASSERT_EQ(reference.lr_weights.size(), 300u);
+  ASSERT_GT(reference.lr_log_loss, 0.0);
+
+  df::EngineConfig parallel;
+  parallel.cpus_per_worker = 4;
+  for (int run = 0; run < 5; ++run) {
+    SCOPED_TRACE("parallel run " + std::to_string(run));
+    ExpectBitEqual(LearnAll(parallel, records), reference);
+  }
+
+  df::EngineConfig faulted = parallel;
+  faulted.faults.seed = 7;
+  faulted.faults.map_task_failure_rate = 0.2;
+  faulted.retry.max_attempts = 8;
+  faulted.retry.base_backoff_ms = 0.0;
+  const Learned recovered = LearnAll(faulted, records);
+  EXPECT_GT(recovered.retries, 0);
+  ExpectBitEqual(recovered, reference);
 }
 
 }  // namespace

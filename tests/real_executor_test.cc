@@ -156,8 +156,11 @@ TEST(RealExecutorTest, Int8StagedRunMetersQuantizedOps) {
 }
 
 // The paper's Section 5.2 invariant: every logical plan trains identical
-// downstream models for a given layer. With deterministic training, the
-// test metrics must be bit-identical across plans, joins, and formats.
+// downstream models for a given layer. Features are bit-identical across
+// plans and training folds partitions in partition order, so the test
+// metrics must be bit-identical across plans, joins, and formats. 25
+// iterations train past the degenerate all-negative classifier, whose
+// zero F1 would match under any plan.
 class PlanEquivalenceTest
     : public ::testing::TestWithParam<
           std::tuple<LogicalPlan, df::JoinStrategy, df::PersistenceFormat>> {
@@ -166,6 +169,7 @@ class PlanEquivalenceTest
 TEST_P(PlanEquivalenceTest, SameModelsAsLazyBaseline) {
   const auto [logical, join, persistence] = GetParam();
   Fixture f = Fixture::Make(dl::KnownCnn::kAlexNet, 3, 200);
+  f.workload.training_iterations = 25;
   RealExecutor executor(f.engine.get(), f.model.get());
 
   RealExecutorConfig config = FastConfig();
@@ -194,6 +198,7 @@ TEST_P(PlanEquivalenceTest, SameModelsAsLazyBaseline) {
               baseline->per_layer[i].test_metrics.false_negatives);
     EXPECT_DOUBLE_EQ(result->per_layer[i].test_f1,
                      baseline->per_layer[i].test_f1);
+    EXPECT_GT(result->per_layer[i].test_f1, 0.0);
   }
 }
 

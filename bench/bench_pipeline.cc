@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -45,7 +46,9 @@ struct PipelineRun {
   double total_ms = 0;
   double join_ms = 0;
   double materialize_ms = 0;
-  df::EngineStats stats;
+  /// The engine's prefetch-plane counts by report key: the "prefetch.*"
+  /// counters and the "prefetch.queue_depth" high-water mark.
+  std::map<std::string, int64_t> prefetch;
   /// Serialized partitions of the materialized feature table, for the
   /// bit-identical check across depths.
   std::vector<std::vector<uint8_t>> output_blobs;
@@ -130,7 +133,14 @@ PipelineRun RunPipeline(int depth, double delay_ms, int np,
     run.status = features.status();
     return run;
   }
-  run.stats = engine.stats();
+  obs::Registry& metrics = engine.metrics();
+  for (const char* key :
+       {"requests", "hits", "claimed", "dropped", "corrupt_dropped"}) {
+    run.prefetch[key] =
+        metrics.counter(std::string("prefetch.") + key)->value();
+  }
+  run.prefetch["queue_depth_peak"] =
+      metrics.gauge("prefetch.queue_depth")->max_value();
   auto blobs = TableBlobs(*features);
   if (!blobs.ok()) {
     run.status = blobs.status();
@@ -268,8 +278,8 @@ int Main(int argc, char** argv) {
                 "prefetch %ld/%ld hits\n",
                 depth, best_at_depth.total_ms, best_at_depth.join_ms,
                 best_at_depth.materialize_ms,
-                static_cast<long>(best_at_depth.stats.prefetch_hits),
-                static_cast<long>(best_at_depth.stats.prefetch_requests));
+                static_cast<long>(best_at_depth.prefetch["hits"]),
+                static_cast<long>(best_at_depth.prefetch["requests"]));
     pipeline.Set("depth_" + std::to_string(depth) + "_ms",
                  obs::Json::Num(best_at_depth.total_ms));
     if (best.total_ms == 0 || best_at_depth.total_ms < best.total_ms) {
@@ -286,14 +296,9 @@ int Main(int argc, char** argv) {
   reporter.AddSection("pipeline", std::move(pipeline));
 
   obs::Json prefetch = obs::Json::Object();
-  prefetch.Set("requests", obs::Json::Int(best.stats.prefetch_requests));
-  prefetch.Set("hits", obs::Json::Int(best.stats.prefetch_hits));
-  prefetch.Set("claimed", obs::Json::Int(best.stats.prefetch_claimed));
-  prefetch.Set("dropped", obs::Json::Int(best.stats.prefetch_dropped));
-  prefetch.Set("corrupt_dropped",
-               obs::Json::Int(best.stats.prefetch_corrupt_dropped));
-  prefetch.Set("queue_depth_peak",
-               obs::Json::Int(best.stats.prefetch_queue_depth_peak));
+  for (const auto& [key, value] : best.prefetch) {
+    prefetch.Set(key, obs::Json::Int(value));
+  }
   reporter.AddSection("prefetch", std::move(prefetch));
 
   obs::Json det = obs::Json::Object();

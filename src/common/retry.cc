@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <thread>
 
 namespace vista {
@@ -36,7 +35,8 @@ double BackoffMs(const RetryPolicy& policy, uint64_t key, int attempt) {
   for (int i = 0; i < attempt; ++i) backoff *= policy.backoff_multiplier;
   backoff = std::min(backoff, policy.max_backoff_ms);
   if (policy.jitter_fraction > 0) {
-    const uint64_t h = Mix64(key * 0x100000001b3ULL + static_cast<uint64_t>(attempt));
+    const uint64_t h =
+        Mix64(key * 0x100000001b3ULL + static_cast<uint64_t>(attempt));
     const double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
     backoff *= 1.0 + policy.jitter_fraction * (2.0 * u - 1.0);
   }
@@ -47,13 +47,6 @@ void SleepForBackoff(const RetryPolicy& policy, uint64_t key, int attempt) {
   const double ms = BackoffMs(policy, key, attempt);
   if (ms <= 0) return;
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-}
-
-std::string RecoveryStats::ToString() const {
-  std::ostringstream os;
-  os << "retries " << retries << ", recomputed " << recomputed_partitions
-     << ", injected " << injected_faults << ", degradations " << degradations;
-  return os.str();
 }
 
 Status RunWithRetry(const RetryPolicy& policy, uint64_t key,

@@ -25,14 +25,14 @@ namespace vista::df {
 /// exactly the paper's Eager-on-Ignite crash mode.
 class StorageCache {
  public:
-  /// `injector` (optional, may be null) lets seeded transient memory
-  /// spikes reject inserts: Insert returns Unavailable, which the engine's
-  /// retry policy treats as retryable — unlike a genuine budget violation.
-  /// `metrics` (optional) receives "cache.*" counters and a resident-bytes
-  /// gauge; both must outlive the cache when given.
+  /// `injector` (may be null) lets seeded transient memory spikes reject
+  /// inserts: Insert returns Unavailable, which the engine's retry policy
+  /// treats as retryable — unlike a genuine budget violation. `metrics`
+  /// receives the "cache.*" counters, a "cache.resident_bytes" gauge and
+  /// the shared "integrity.*" counters of resident-blob verification. The
+  /// injector, when given, and the registry must outlive the cache.
   StorageCache(MemoryManager* memory, SpillManager* spill, bool allow_spill,
-               FaultInjector* injector = nullptr,
-               obs::Registry* metrics = nullptr);
+               FaultInjector* injector, obs::Registry& metrics);
 
   StorageCache(const StorageCache&) = delete;
   StorageCache& operator=(const StorageCache&) = delete;
@@ -91,15 +91,15 @@ class StorageCache {
   SpillManager* spill_;
   bool allow_spill_;
   FaultInjector* injector_;
-  /// Obs instruments; all null when no registry was given.
-  obs::Counter* c_inserts_ = nullptr;
-  obs::Counter* c_read_hits_ = nullptr;
-  obs::Counter* c_read_misses_ = nullptr;
-  obs::Counter* c_fault_ins_ = nullptr;
-  obs::Counter* c_evictions_ = nullptr;
-  obs::Counter* c_blocks_verified_ = nullptr;
-  obs::Counter* c_checksum_failures_ = nullptr;
-  obs::Gauge* g_resident_bytes_ = nullptr;
+  /// Obs instruments, resolved once at construction.
+  obs::Counter* const c_inserts_;
+  obs::Counter* const c_read_hits_;
+  obs::Counter* const c_read_misses_;
+  obs::Counter* const c_fault_ins_;
+  obs::Counter* const c_evictions_;
+  obs::Counter* const c_blocks_verified_;
+  obs::Counter* const c_checksum_failures_;
+  obs::Gauge* const g_resident_bytes_;
 
   mutable std::mutex mu_;
   std::unordered_map<Partition*, Entry> entries_;

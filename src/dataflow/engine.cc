@@ -6,7 +6,6 @@
 
 #include "common/flat_map.h"
 #include "common/logging.h"
-#include "tensor/scratch.h"
 
 namespace vista::df {
 namespace {
@@ -123,11 +122,11 @@ Status ScanWireSources(ThreadPool* pool, FaultInjector* injector,
     // falls back to the record path, where lineage recomputation applies.
     Status verified = table.partitions[i]->VerifyBlob();
     if (!verified.ok()) {
-      if (c_checksum_failures != nullptr) c_checksum_failures->Add(1);
+      c_checksum_failures->Add(1);
       statuses[i] = verified;
       return;
     }
-    if (c_blocks_verified != nullptr) c_blocks_verified->Add(1);
+    c_blocks_verified->Add(1);
     // An injected shuffle fault models a lost block: the whole source is
     // re-scanned on retry, mirroring ReadPartitionWithRetry.
     std::vector<WireRef> refs;
@@ -230,7 +229,6 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   h_partition_read_ms_ = metrics_->histogram("engine.partition_read_ms");
   h_shuffle_ms_ = metrics_->histogram("engine.shuffle_ms");
   h_serialize_ms_ = metrics_->histogram("engine.serialize_ms");
-  g_spill_queue_depth_ = metrics_->gauge("spill.queue_depth");
   c_blocks_verified_ = metrics_->counter("integrity.blocks_verified");
   c_checksum_failures_ = metrics_->counter("integrity.checksum_failures");
   c_recomputes_ = metrics_->counter("integrity.recomputes_triggered");
@@ -239,58 +237,26 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
         "/tmp/vista_spill_" + std::to_string(::getpid()) + "_" +
         std::to_string(reinterpret_cast<uintptr_t>(this));
   }
-  spill_ = std::make_unique<SpillManager>(config_.spill_dir);
+  spill_ = std::make_unique<SpillManager>(config_.spill_dir, *metrics_);
   spill_->set_fault_injector(injector_.get());
   spill_->set_retry_policy(config_.retry);
-  spill_->set_metrics(metrics_);
   spill_->set_prefetch_capacity(
       std::max(config_.prefetch_queue_capacity, config_.prefetch_depth));
   cache_ = std::make_unique<StorageCache>(memory_.get(), spill_.get(),
                                           config_.allow_spill,
-                                          injector_.get(), metrics_);
+                                          injector_.get(), *metrics_);
   pool_ = std::make_unique<ThreadPool>(config_.num_workers *
                                        config_.cpus_per_worker);
 }
 
 EngineStats Engine::stats() const {
+  // Async spill writes bump their counters from the writer thread.
+  spill_->WaitDrained();
   EngineStats s;
-  s.shuffle_bytes = c_shuffle_bytes_->value();
-  s.broadcast_bytes = c_broadcast_bytes_->value();
-  // The spill accessors drain any in-flight async writes first, so the
-  // totals below are settled.
-  s.spill_bytes_written = spill_->bytes_written();
-  s.spill_bytes_read = spill_->bytes_read();
-  s.num_spills = spill_->num_spills();
-  s.spill_queue_depth_peak = g_spill_queue_depth_->max_value();
-  s.cache_read_hits = metrics_->counter("cache.read_hits")->value();
-  s.cache_read_misses = metrics_->counter("cache.read_misses")->value();
-  s.cache_evictions = metrics_->counter("cache.evictions")->value();
-  s.cache_inserts = metrics_->counter("cache.inserts")->value();
-  s.cache_resident_bytes = metrics_->gauge("cache.resident_bytes")->value();
-  s.prefetch_requests = metrics_->counter("prefetch.requests")->value();
-  s.prefetch_hits = metrics_->counter("prefetch.hits")->value();
-  s.prefetch_claimed = metrics_->counter("prefetch.claimed")->value();
-  s.prefetch_dropped = metrics_->counter("prefetch.dropped")->value();
-  s.prefetch_corrupt_dropped =
-      metrics_->counter("prefetch.corrupt_dropped")->value();
-  s.prefetch_queue_depth_peak =
-      metrics_->gauge("prefetch.queue_depth")->max_value();
-  // Inference-plane totals: models profiled into this registry meter each
-  // forward into per-layer "dl.flops.<arch>.<layer>" / "dl.int8_ops.*"
-  // counters; the engine-level stats are their prefix sums.
-  for (const obs::Counter* c : metrics_->counters()) {
-    if (c->name().rfind("dl.flops.", 0) == 0) {
-      s.dl_flops += c->value();
-    } else if (c->name().rfind("dl.int8_ops.", 0) == 0) {
-      s.dl_int8_ops += c->value();
-    }
-  }
-  // Kernel-scratch footprint: refresh the gauge from the process-wide
-  // high-water mark so the registry and the stats snapshot agree.
-  obs::Gauge* g_scratch = metrics_->gauge("scratch.peak_bytes");
-  g_scratch->Set(KernelScratch::GlobalPeakBytes());
-  s.scratch_peak_bytes = g_scratch->value();
-  s.recovery.retries = task_retries_.load() + spill_->io_retries();
+  s.spill_bytes_written = metrics_->counter("spill.bytes_written")->value();
+  s.spill_bytes_read = metrics_->counter("spill.bytes_read")->value();
+  s.recovery.retries =
+      task_retries_.load() + metrics_->counter("spill.io_retries")->value();
   s.recovery.recomputed_partitions = recomputed_partitions_.load();
   s.recovery.injected_faults = injector_->total_injected();
   s.integrity.blocks_verified = c_blocks_verified_->value();

@@ -111,52 +111,20 @@ struct EngineConfig {
   obs::TraceCollector* tracer = nullptr;
 };
 
-/// Counters the benches and tests inspect after running a plan.
+/// The recovery and integrity summary of the engine, read from its obs
+/// registry (every engine sharing an injected registry adds into the same
+/// "spill.*" and "integrity.*" counters) except for task retries, lineage
+/// recomputations and injected faults, which are this engine's own. Every
+/// other count lives only in the registry: read it by instrument name.
 struct EngineStats {
-  int64_t shuffle_bytes = 0;
-  int64_t broadcast_bytes = 0;
+  /// "spill.bytes_written" / "spill.bytes_read": payload bytes of durable
+  /// spill writes and verified read-backs, settled after any in-flight
+  /// async writes land.
   int64_t spill_bytes_written = 0;
   int64_t spill_bytes_read = 0;
-  int64_t num_spills = 0;
-  /// High-water mark of the async spill-writer queue. > 0 proves that
-  /// serialization and disk writes actually overlapped during this run.
-  int64_t spill_queue_depth_peak = 0;
-  /// StorageCache counters, read from the shared "cache.*" instruments so
-  /// engine-level stats and the obs registry agree by construction: resident
-  /// managed reads (hits), reads that had to fault in from disk (misses),
-  /// LRU evictions, inserts, and the current resident footprint.
-  int64_t cache_read_hits = 0;
-  int64_t cache_read_misses = 0;
-  int64_t cache_evictions = 0;
-  int64_t cache_inserts = 0;
-  int64_t cache_resident_bytes = 0;
-  /// Prefetch-plane counters, read from the shared "prefetch.*"
-  /// instruments (see SpillManager): accepted read-ahead hints, reads
-  /// served from a latched prefetched outcome, still-queued hints claimed
-  /// back by a sync read, hints/slots dropped unconsumed, and prefetched
-  /// blocks dropped because they failed verification. The queue-depth peak
-  /// > 0 proves read-ahead actually ran ahead of the consumer.
-  int64_t prefetch_requests = 0;
-  int64_t prefetch_hits = 0;
-  int64_t prefetch_claimed = 0;
-  int64_t prefetch_dropped = 0;
-  int64_t prefetch_corrupt_dropped = 0;
-  int64_t prefetch_queue_depth_peak = 0;
-  /// Inference-plane totals, summed from the per-layer "dl.flops.*" and
-  /// "dl.int8_ops.*" counters of every model profiled into this engine's
-  /// registry: analytic FLOPs of all forwards run, and the subset executed
-  /// on the quantized int8 kernel (0 unless some run used int8 precision).
-  int64_t dl_flops = 0;
-  int64_t dl_int8_ops = 0;
-  /// Process-wide high-water mark of the kernel scratch arenas (packed
-  /// GEMM panels across every thread; the im2col slot only when the
-  /// explicit reference conv ran) — KernelScratch::GlobalPeakBytes()
-  /// mirrored through the "scratch.peak_bytes" gauge. This is the
-  /// measured DL-execution Temp footprint that the estimator's
-  /// ConvTempBytes predicts.
-  int64_t scratch_peak_bytes = 0;
-  /// Retries, lineage recomputations, and injected faults since engine
-  /// construction (degradations are filled in by the executor layer).
+  /// Retries (map tasks, shuffle reads, and the "spill.io_retries"
+  /// counter), lineage recomputations, and injected faults since engine
+  /// construction.
   RecoveryStats recovery;
   /// Verify-on-read outcomes, read from the shared "integrity.*"
   /// instruments: every durable/serialized block checked before re-entering
@@ -190,6 +158,8 @@ class Engine {
   /// The engine-owned injector; tests reconfigure rates between ops via
   /// FaultInjector::Configure.
   FaultInjector& fault_injector() { return *injector_; }
+  /// Waits for in-flight async spill writes, then reads the summary. Adds
+  /// nothing to the registry.
   EngineStats stats() const;
 
   /// The metrics registry and trace collector every engine component
@@ -351,7 +321,6 @@ class Engine {
   /// each per-partition serialization task inside Persist.
   obs::Histogram* h_shuffle_ms_ = nullptr;
   obs::Histogram* h_serialize_ms_ = nullptr;
-  obs::Gauge* g_spill_queue_depth_ = nullptr;
   /// Shared "integrity.*" instruments (also fed by SpillManager and
   /// StorageCache); the engine adds zero-decode scan verifies and
   /// DataLoss-triggered lineage recomputes.

@@ -1,7 +1,6 @@
 #ifndef VISTA_DATAFLOW_SPILL_H_
 #define VISTA_DATAFLOW_SPILL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -22,6 +21,10 @@ namespace vista::df {
 /// Writes evicted partition blobs to real files in a scratch directory and
 /// reads them back on demand. Disk spills are a first-class cost in the
 /// paper's trade-off space, so the engine both performs and meters them.
+///
+/// Every event is counted once, in the obs registry given at construction
+/// ("spill.*", "integrity.*" and "prefetch.*" instruments); the manager
+/// keeps no counters of its own.
 ///
 /// Durability & integrity protocol (see dataflow/block_format.h and
 /// DESIGN.md "Data integrity & durability"): every blob is written as a
@@ -85,9 +88,26 @@ namespace vista::df {
 class SpillManager {
  public:
   /// `dir` is created if missing; files are removed on destruction.
-  /// `async_queue_capacity` bounds the writer queue (backpressure beyond
-  /// it): 2 gives classic double buffering.
-  explicit SpillManager(std::string dir, int async_queue_capacity = 2);
+  /// `metrics` receives every count and latency the manager meters:
+  ///  - "spill.writes" / "spill.reads", "spill.bytes_written" /
+  ///    "spill.bytes_read" (payload bytes, frame overhead excluded, so they
+  ///    stay comparable across format versions), "spill.io_retries"
+  ///    (failed I/O attempts that were retried), and the "spill.write_ms" /
+  ///    "spill.read_ms" histograms;
+  ///  - the "spill.queue_depth" gauge, whose max_value > 0 proves that
+  ///    serialization and disk I/O actually overlapped;
+  ///  - the shared verify-on-read counters "integrity.blocks_verified",
+  ///    "integrity.checksum_failures" and "integrity.torn_writes_detected";
+  ///  - the prefetch plane: "prefetch.requests" (accepted hints),
+  ///    "prefetch.hits" (reads served from a prefetched outcome),
+  ///    "prefetch.claimed" (still-queued hints claimed back by a sync
+  ///    read), "prefetch.dropped" (hints/slots dropped unconsumed),
+  ///    "prefetch.corrupt_dropped" (prefetched blocks that failed
+  ///    verification; the read surfaces kDataLoss exactly like the sync
+  ///    path, so lineage heals it) and the "prefetch.queue_depth" gauge.
+  /// The background threads update the registry until the destructor joins
+  /// them, so it must outlive the manager.
+  SpillManager(std::string dir, obs::Registry& metrics);
   ~SpillManager();
 
   SpillManager(const SpillManager&) = delete;
@@ -97,14 +117,6 @@ class SpillManager {
   /// manager. Null disables injection.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-
-  /// Reports spill counters and I/O latency histograms into `metrics`
-  /// ("spill.*" instruments, resolved once here), plus a
-  /// "spill.queue_depth" gauge tracking the async queue (its max_value is
-  /// the high-water mark — > 0 proves serialization and disk I/O actually
-  /// overlapped) and the shared "integrity.*" verification counters. Null
-  /// disables reporting; the registry must outlive the manager.
-  void set_metrics(obs::Registry* metrics);
 
   /// Persists `blob` under `key` (overwrites any previous spill of `key`,
   /// bumping the key's block generation). Short writes and flush/fsync/
@@ -124,6 +136,11 @@ class SpillManager {
   /// operation that caused it. Per-key error latches survive Flush — they
   /// clear only when the key is rewritten successfully or removed.
   Status Flush();
+
+  /// Blocks until the async queue is empty and the writer is idle, leaving
+  /// any async write error in place for Flush. Call it before reading the
+  /// "spill.*" counters: async writes bump them from the writer thread.
+  void WaitDrained() const;
 
   /// Reads back the blob spilled under `key`, verifying the durable-block
   /// frame (checksums, footer, expected generation) before returning it.
@@ -156,32 +173,6 @@ class SpillManager {
   /// are removed under one lock so no reader can observe the entry without
   /// the file. Also clears the key's async-error latch.
   void Remove(int64_t key);
-
-  /// Counters. Accessors first drain any in-flight async writes so callers
-  /// always observe settled totals. Byte counters meter payload bytes
-  /// (frame overhead excluded), so they stay comparable across format
-  /// versions.
-  int64_t bytes_written() const;
-  int64_t bytes_read() const;
-  int64_t num_spills() const;
-  /// Failed spill I/O attempts that were retried.
-  int64_t io_retries() const;
-  /// Verify-on-read outcomes (also exported as "integrity.*" metrics).
-  int64_t blocks_verified() const;
-  int64_t checksum_failures() const;
-  int64_t torn_writes_detected() const;
-  /// Prefetch-plane outcomes (also exported as "prefetch.*" metrics):
-  /// accepted hints, reads served from a prefetched outcome, still-queued
-  /// hints claimed back by a sync read, hints/slots dropped unconsumed,
-  /// and prefetched blocks that failed verification (dropped; the read
-  /// surfaces kDataLoss exactly like the sync path, so lineage heals it).
-  int64_t prefetch_requests() const { return pf_requests_.load(); }
-  int64_t prefetch_hits() const { return pf_hits_.load(); }
-  int64_t prefetch_claimed() const { return pf_claimed_.load(); }
-  int64_t prefetch_dropped() const { return pf_dropped_.load(); }
-  int64_t prefetch_corrupt_dropped() const {
-    return pf_corrupt_dropped_.load();
-  }
 
  private:
   struct PendingWrite {
@@ -237,26 +228,41 @@ class SpillManager {
   /// reader is mid-read of it so an overwrite can never race the read.
   /// Called by Write/WriteAsync/Remove before touching the key's file.
   void InvalidatePrefetch(int64_t key);
-  void CountPrefetchDrop();
   /// True while `key` has a queued or in-flight async write. Requires qmu_.
   bool KeyPendingLocked(int64_t key) const;
   /// Blocks until no async write of `key` is pending.
   void WaitForKey(int64_t key);
-  /// Blocks until the async queue is empty and the writer is idle.
-  void WaitDrained() const;
+
+  /// Bound of the async writer queue (backpressure beyond it): 2 gives
+  /// classic double buffering.
+  static constexpr size_t kAsyncQueueCapacity = 2;
 
   std::string dir_;
   FaultInjector* injector_ = nullptr;
   RetryPolicy retry_;
+
+  /// Obs instruments, resolved once at construction (declared before
+  /// the threads that update them).
+  obs::Counter* const c_writes_;
+  obs::Counter* const c_reads_;
+  obs::Counter* const c_bytes_written_;
+  obs::Counter* const c_bytes_read_;
+  obs::Counter* const c_retries_;
+  obs::Counter* const c_blocks_verified_;
+  obs::Counter* const c_checksum_failures_;
+  obs::Counter* const c_torn_writes_;
+  obs::Counter* const c_pf_requests_;
+  obs::Counter* const c_pf_hits_;
+  obs::Counter* const c_pf_claimed_;
+  obs::Counter* const c_pf_dropped_;
+  obs::Counter* const c_pf_corrupt_dropped_;
+  obs::Histogram* const h_write_ms_;
+  obs::Histogram* const h_read_ms_;
+  obs::Gauge* const g_queue_depth_;
+  obs::Gauge* const g_pf_queue_depth_;
+
   std::mutex mu_;
   std::unordered_map<int64_t, SpillEntry> entries_;
-  std::atomic<int64_t> bytes_written_{0};
-  std::atomic<int64_t> bytes_read_{0};
-  std::atomic<int64_t> num_spills_{0};
-  std::atomic<int64_t> io_retries_{0};
-  std::atomic<int64_t> blocks_verified_{0};
-  std::atomic<int64_t> checksum_failures_{0};
-  std::atomic<int64_t> torn_writes_{0};
 
   /// Async writer state, all guarded by qmu_. The writer thread starts
   /// lazily on the first WriteAsync and is joined in the destructor (after
@@ -266,7 +272,6 @@ class SpillManager {
   mutable std::condition_variable space_cv_;
   mutable std::condition_variable drained_cv_;
   std::deque<PendingWrite> queue_;
-  size_t queue_capacity_;
   std::thread writer_;
   bool writer_started_ = false;
   bool shutdown_ = false;
@@ -294,30 +299,6 @@ class SpillManager {
   bool pf_shutdown_ = false;
   MemoryManager* pf_memory_ = nullptr;
   MemoryRegion pf_region_ = MemoryRegion::kStorage;
-  std::atomic<int64_t> pf_requests_{0};
-  std::atomic<int64_t> pf_hits_{0};
-  std::atomic<int64_t> pf_claimed_{0};
-  std::atomic<int64_t> pf_dropped_{0};
-  std::atomic<int64_t> pf_corrupt_dropped_{0};
-
-  /// Obs instruments; all null until set_metrics is called.
-  obs::Counter* c_writes_ = nullptr;
-  obs::Counter* c_reads_ = nullptr;
-  obs::Counter* c_bytes_written_ = nullptr;
-  obs::Counter* c_bytes_read_ = nullptr;
-  obs::Counter* c_retries_ = nullptr;
-  obs::Counter* c_blocks_verified_ = nullptr;
-  obs::Counter* c_checksum_failures_ = nullptr;
-  obs::Counter* c_torn_writes_ = nullptr;
-  obs::Counter* c_pf_requests_ = nullptr;
-  obs::Counter* c_pf_hits_ = nullptr;
-  obs::Counter* c_pf_claimed_ = nullptr;
-  obs::Counter* c_pf_dropped_ = nullptr;
-  obs::Counter* c_pf_corrupt_dropped_ = nullptr;
-  obs::Histogram* h_write_ms_ = nullptr;
-  obs::Histogram* h_read_ms_ = nullptr;
-  obs::Gauge* g_queue_depth_ = nullptr;
-  obs::Gauge* g_pf_queue_depth_ = nullptr;
 };
 
 }  // namespace vista::df

@@ -93,7 +93,7 @@ FeatureTransferService::FeatureTransferService(df::Engine* engine,
     : engine_(engine), config_(std::move(config)) {
   obs::Registry& metrics = engine_->metrics();
   view_cache_ = std::make_unique<FeatureViewCache>(
-      &engine_->memory(), config_.view_cache_bytes, &metrics);
+      &engine_->memory(), config_.view_cache_bytes, metrics);
   c_queries_ = metrics.counter("serve.queries");
   c_completed_ = metrics.counter("serve.queries_completed");
   c_failed_ = metrics.counter("serve.queries_failed");

@@ -52,10 +52,11 @@ class FeatureViewCache {
  public:
   /// `capacity_bytes` additionally caps the cache's own footprint below
   /// the Storage budget (-1: bounded by the Storage region alone).
-  /// `metrics` (optional) receives "serve.view_cache.*" instruments; both
-  /// pointers must outlive the cache.
-  FeatureViewCache(df::MemoryManager* memory, int64_t capacity_bytes = -1,
-                   obs::Registry* metrics = nullptr);
+  /// `metrics` receives the "serve.view_cache.*" instruments and the shared
+  /// "integrity.*" counters of view verification; `memory` and `metrics`
+  /// must outlive the cache.
+  FeatureViewCache(df::MemoryManager* memory, int64_t capacity_bytes,
+                   obs::Registry& metrics);
   ~FeatureViewCache();
 
   FeatureViewCache(const FeatureViewCache&) = delete;
@@ -120,16 +121,16 @@ class FeatureViewCache {
 
   df::MemoryManager* memory_;
   const int64_t capacity_bytes_;
-  obs::Counter* c_hits_ = nullptr;
-  obs::Counter* c_misses_ = nullptr;
-  obs::Counter* c_inserts_ = nullptr;
-  obs::Counter* c_evictions_ = nullptr;
-  obs::Counter* c_insert_overflows_ = nullptr;
-  obs::Counter* c_corrupt_drops_ = nullptr;
-  obs::Counter* c_blocks_verified_ = nullptr;
-  obs::Counter* c_checksum_failures_ = nullptr;
-  obs::Gauge* g_resident_bytes_ = nullptr;
-  obs::Gauge* g_views_ = nullptr;
+  obs::Counter* const c_hits_;
+  obs::Counter* const c_misses_;
+  obs::Counter* const c_inserts_;
+  obs::Counter* const c_evictions_;
+  obs::Counter* const c_insert_overflows_;
+  obs::Counter* const c_corrupt_drops_;
+  obs::Counter* const c_blocks_verified_;
+  obs::Counter* const c_checksum_failures_;
+  obs::Gauge* const g_resident_bytes_;
+  obs::Gauge* const g_views_;
 
   mutable std::mutex mu_;
   std::map<Key, Entry> entries_;

@@ -100,34 +100,22 @@ struct LayerRunResult {
   double test_f1 = 0;
 };
 
-/// Outcome of executing a compiled plan end to end.
+/// Outcome of executing a compiled plan end to end. Dataflow counts
+/// (spills, retries, bytes moved, integrity outcomes) are not copied here:
+/// read them from the engine's registry or from Engine::stats().
 struct RealRunResult {
   std::vector<LayerRunResult> per_layer;
   double total_seconds = 0;
   /// Sum of CNN FLOPs actually executed (quantifies Lazy's redundancy).
   int64_t inference_flops = 0;
   /// Of those, the ops executed on the quantized int8 kernel (conv/fc
-  /// primitives when the run's precision is int8; 0 for fp32 runs). The
-  /// per-layer breakdown accrues into the "dl.int8_ops.*" counters, which
-  /// EngineStats::dl_int8_ops mirrors.
+  /// primitives when the run's precision is int8; 0 for fp32 runs). With
+  /// profiling enabled, the per-layer breakdown accrues into the
+  /// "dl.int8_ops.*" counters.
   int64_t inference_int8_ops = 0;
-  /// Process-wide kernel-scratch high-water mark (packed GEMM panels) at
-  /// run end — a copy of engine_stats.scratch_peak_bytes hoisted up: the
-  /// measured DL-execution Temp footprint to compare against
-  /// SizeEstimates::conv_temp_bytes.
-  int64_t scratch_peak_bytes = 0;
-  df::EngineStats engine_stats;
   /// Degradation-ladder steps taken before the run completed (empty for a
   /// clean first-attempt run), e.g. "persistence: deserialized -> serialized".
   std::vector<std::string> degradations;
-  /// Recovery counters for this executor's engine (retries, lineage
-  /// recomputations, injected faults) plus the degradations taken above.
-  RecoveryStats recovery;
-  /// Verify-on-read outcomes for this executor's engine (blocks checked,
-  /// checksum mismatches, torn writes, corruption-triggered recomputes) —
-  /// a copy of engine_stats.integrity hoisted up for callers that only
-  /// read the summary.
-  IntegrityStats integrity;
   /// Wall seconds per pipeline stage ("read", "join", "inference",
   /// "persistence", "train"), aggregated from the stage spans below — the
   /// paper's Table 3 drill-down measured on the real executor.
@@ -136,13 +124,6 @@ struct RealRunResult {
   /// when auto-degradation re-ran the plan). Feed to obs::ProfileJson or
   /// obs::ChromeTraceJson to export.
   std::vector<obs::Span> spans;
-  /// Data-movement-plane timings from the engine's histograms: total
-  /// wall-clock of shuffle-moving ops (Join/Repartition/Union) and of
-  /// per-partition serialization inside Persist. Cumulative over the
-  /// engine's lifetime, so across degraded re-runs on one engine these
-  /// include all attempts.
-  double shuffle_ms = 0;
-  double serialize_ms = 0;
 };
 
 /// Executes compiled plans on the local dataflow engine with a real CNN —

@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "dl/model_parser.h"
+#include "registry_reads.h"
 #include "vista/experiments.h"
 
 namespace vista {
@@ -132,7 +133,7 @@ TEST(EngineConcurrencyTest, ParallelOperationsUnderStoragePressure) {
   }
   drivers.WaitIdle();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GT(engine.stats().num_spills, 0);
+  EXPECT_GT(RegisteredCounter(engine.metrics(), "spill.writes"), 0);
   // The cached base table is still intact.
   auto rows = engine.Collect(base);
   ASSERT_TRUE(rows.ok());

@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 #include "dataflow/memory.h"
 #include "dataflow/partition.h"
 #include "dataflow/spill.h"
+#include "registry_reads.h"
 
 namespace vista::df {
 namespace {
@@ -123,20 +126,22 @@ TEST(PartitionTest, EvictAndRestore) {
 // ------------------------------------------------------------------ Spill.
 
 TEST(SpillManagerTest, WriteReadRemove) {
-  SpillManager spill("/tmp/vista_test_spill_a");
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_test_spill_a", metrics);
   std::vector<uint8_t> blob = {1, 2, 3, 4, 5};
   ASSERT_TRUE(spill.Write(7, blob).ok());
-  EXPECT_EQ(spill.bytes_written(), 5);
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.bytes_written"), 5);
   auto back = spill.Read(7);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, blob);
-  EXPECT_EQ(spill.bytes_read(), 5);
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.bytes_read"), 5);
   spill.Remove(7);
   EXPECT_FALSE(spill.Read(7).ok());
 }
 
 TEST(SpillManagerTest, MissingKeyIsNotFound) {
-  SpillManager spill("/tmp/vista_test_spill_b");
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_test_spill_b", metrics);
   EXPECT_TRUE(spill.Read(99).status().IsNotFound());
 }
 
@@ -146,8 +151,9 @@ TEST(StorageCacheTest, EvictsLruToDiskUnderPressure) {
   MemoryBudgets budgets;
   budgets.storage = 2500;
   MemoryManager mem(budgets);
-  SpillManager spill("/tmp/vista_test_spill_c");
-  StorageCache cache(&mem, &spill, /*allow_spill=*/true);
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_test_spill_c", metrics);
+  StorageCache cache(&mem, &spill, /*allow_spill=*/true, nullptr, metrics);
 
   std::vector<std::shared_ptr<Partition>> parts;
   for (int i = 0; i < 6; ++i) {
@@ -157,7 +163,8 @@ TEST(StorageCacheTest, EvictsLruToDiskUnderPressure) {
   }
   EXPECT_EQ(cache.num_managed(), 6);
   EXPECT_GT(cache.num_spilled(), 0);
-  EXPECT_GT(spill.num_spills(), 0);
+  spill.WaitDrained();
+  EXPECT_GT(RegisteredCounter(metrics, "spill.writes"), 0);
 
   // Every partition is still readable (fault-in from disk).
   for (auto& p : parts) {
@@ -171,8 +178,9 @@ TEST(StorageCacheTest, MemoryOnlyModeCrashes) {
   MemoryBudgets budgets;
   budgets.storage = 2000;
   MemoryManager mem(budgets);
-  SpillManager spill("/tmp/vista_test_spill_d");
-  StorageCache cache(&mem, &spill, /*allow_spill=*/false);
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_test_spill_d", metrics);
+  StorageCache cache(&mem, &spill, /*allow_spill=*/false, nullptr, metrics);
 
   Status last = Status::OK();
   for (int i = 0; i < 10 && last.ok(); ++i) {
@@ -185,8 +193,9 @@ TEST(StorageCacheTest, RemoveReleasesMemory) {
   MemoryBudgets budgets;
   budgets.storage = 100000;
   MemoryManager mem(budgets);
-  SpillManager spill("/tmp/vista_test_spill_e");
-  StorageCache cache(&mem, &spill, true);
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_test_spill_e", metrics);
+  StorageCache cache(&mem, &spill, true, nullptr, metrics);
   auto p = std::make_shared<Partition>(MakeRecords(10));
   ASSERT_TRUE(cache.Insert(p).ok());
   EXPECT_GT(mem.Used(MemoryRegion::kStorage), 0);
@@ -198,9 +207,9 @@ TEST(StorageCacheTest, ExportsCountersThroughRegistry) {
   MemoryBudgets budgets;
   budgets.storage = 2500;
   MemoryManager mem(budgets);
-  SpillManager spill("/tmp/vista_test_spill_f");
   obs::Registry metrics;
-  StorageCache cache(&mem, &spill, /*allow_spill=*/true, nullptr, &metrics);
+  SpillManager spill("/tmp/vista_test_spill_f", metrics);
+  StorageCache cache(&mem, &spill, /*allow_spill=*/true, nullptr, metrics);
 
   std::vector<std::shared_ptr<Partition>> parts;
   for (int i = 0; i < 6; ++i) {
@@ -224,8 +233,8 @@ TEST(StorageCacheTest, ExportsCountersThroughRegistry) {
             mem.Used(MemoryRegion::kStorage));
 }
 
-// EngineStats mirrors the same "cache.*" instruments, so engine-level and
-// registry-level cache accounting cannot drift apart.
+// The engine's cache reports into the engine's own registry, the one place
+// engine-level cache accounting is read from.
 TEST(StorageCacheTest, EngineStatsMirrorsCacheCounters) {
   EngineConfig config;
   config.budgets.storage = 4000;
@@ -237,13 +246,11 @@ TEST(StorageCacheTest, EngineStatsMirrorsCacheCounters) {
   for (const auto& p : table->partitions) {
     ASSERT_TRUE(engine.cache().ReadThrough(p).ok());
   }
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.cache_inserts,
-            engine.metrics().counter("cache.inserts")->value());
-  EXPECT_EQ(stats.cache_read_hits + stats.cache_read_misses, 8);
-  EXPECT_EQ(stats.cache_resident_bytes,
-            engine.metrics().gauge("cache.resident_bytes")->value());
-  EXPECT_GT(stats.cache_inserts, 0);
+  const obs::Registry& metrics = engine.metrics();
+  EXPECT_EQ(RegisteredCounter(metrics, "cache.read_hits") +
+                RegisteredCounter(metrics, "cache.read_misses"),
+            8);
+  EXPECT_GT(RegisteredCounter(metrics, "cache.inserts"), 0);
 }
 
 // ----------------------------------------------------------------- Engine.
@@ -389,7 +396,7 @@ TEST(EngineTest, PersistWithSpillsStaysReadable) {
   ASSERT_TRUE(table.ok());
   ASSERT_TRUE(
       engine.Persist(&*table, PersistenceFormat::kDeserialized).ok());
-  EXPECT_GT(engine.stats().num_spills, 0);
+  EXPECT_GT(RegisteredCounter(engine.metrics(), "spill.writes"), 0);
   auto rows = engine.Collect(*table);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 200u);
@@ -425,8 +432,35 @@ TEST(EngineTest, ShuffleJoinCountsShuffledBytes) {
   auto right = engine.MakeTable(MakeRecords(50), 4);
   ASSERT_TRUE(
       engine.Join(*left, *right, JoinStrategy::kShuffleHash, 4).ok());
-  EXPECT_GT(engine.stats().shuffle_bytes, 0);
-  EXPECT_EQ(engine.stats().broadcast_bytes, 0);
+  EXPECT_GT(RegisteredCounter(engine.metrics(), "engine.shuffle_bytes"), 0);
+  EXPECT_EQ(RegisteredCounter(engine.metrics(), "engine.broadcast_bytes"), 0);
+}
+
+// Every counter, gauge and histogram of `registry` with its value, for
+// comparing registry states.
+std::vector<std::string> RegistryState(const obs::Registry& registry) {
+  std::vector<std::string> state;
+  for (const obs::Counter* c : registry.counters()) {
+    state.push_back(c->name() + " " + std::to_string(c->value()));
+  }
+  for (const obs::Gauge* g : registry.gauges()) {
+    state.push_back(g->name() + " " + std::to_string(g->value()) + " " +
+                    std::to_string(g->max_value()));
+  }
+  for (const obs::Histogram* h : registry.histograms()) {
+    state.push_back(h->name() + " " + std::to_string(h->count()) + " " +
+                    std::to_string(h->sum()));
+  }
+  return state;
+}
+
+TEST(EngineTest, StatsIsAPureRead) {
+  Engine engine(SmallEngineConfig());
+  const std::vector<std::string> before = RegistryState(engine.metrics());
+  ASSERT_FALSE(before.empty());
+  engine.stats();
+  engine.stats();
+  EXPECT_EQ(RegistryState(engine.metrics()), before);
 }
 
 

@@ -15,6 +15,7 @@
 #include "dataflow/engine.h"
 #include "dataflow/spill.h"
 #include "obs/metrics.h"
+#include "registry_reads.h"
 #include "serve/view_cache.h"
 
 namespace vista {
@@ -183,7 +184,8 @@ RetryPolicy FastRetries(int max_attempts) {
 }
 
 TEST(SpillIntegrityTest, CleanRoundTripWritesFramedBlocks) {
-  df::SpillManager spill(FreshSpillDir("clean"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("clean"), metrics);
   const std::vector<uint8_t> blob = PatternPayload(200);
   ASSERT_TRUE(spill.Write(3, blob).ok());
   // The on-disk file is a framed block, not the raw payload.
@@ -198,15 +200,18 @@ TEST(SpillIntegrityTest, CleanRoundTripWritesFramedBlocks) {
   auto read = spill.Read(3);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, blob);
-  EXPECT_EQ(spill.blocks_verified(), 1);
-  EXPECT_EQ(spill.checksum_failures(), 0);
+  EXPECT_EQ(RegisteredCounter(metrics, "integrity.blocks_verified"), 1);
+  EXPECT_EQ(RegisteredCounter(metrics, "integrity.checksum_failures"), 0);
   // Byte counters meter payload bytes, excluding frame overhead.
-  EXPECT_EQ(spill.bytes_written(), static_cast<int64_t>(blob.size()));
-  EXPECT_EQ(spill.bytes_read(), static_cast<int64_t>(blob.size()));
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.bytes_written"),
+            static_cast<int64_t>(blob.size()));
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.bytes_read"),
+            static_cast<int64_t>(blob.size()));
 }
 
 TEST(SpillIntegrityTest, InjectedBitFlipIsCaughtOnRead) {
-  df::SpillManager spill(FreshSpillDir("flip"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("flip"), metrics);
   FaultInjectorConfig config;
   config.spill_bit_flip_rate = 1.0;
   FaultInjector injector(config);
@@ -220,13 +225,14 @@ TEST(SpillIntegrityTest, InjectedBitFlipIsCaughtOnRead) {
   // Corruption is kDataLoss — non-retryable by design: a corrupt block
   // stays corrupt on re-read, so retrying would only burn time.
   EXPECT_TRUE(read.status().IsDataLoss());
-  EXPECT_EQ(spill.checksum_failures(), 1);
-  EXPECT_EQ(spill.torn_writes_detected(), 0);
-  EXPECT_EQ(spill.io_retries(), 0);
+  EXPECT_EQ(RegisteredCounter(metrics, "integrity.checksum_failures"), 1);
+  EXPECT_EQ(RegisteredCounter(metrics, "integrity.torn_writes_detected"), 0);
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.io_retries"), 0);
 }
 
 TEST(SpillIntegrityTest, InjectedTornWriteIsCaughtOnRead) {
-  df::SpillManager spill(FreshSpillDir("torn"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("torn"), metrics);
   FaultInjectorConfig config;
   config.spill_torn_write_rate = 1.0;
   FaultInjector injector(config);
@@ -238,12 +244,13 @@ TEST(SpillIntegrityTest, InjectedTornWriteIsCaughtOnRead) {
   auto read = spill.Read(12);
   ASSERT_FALSE(read.ok());
   EXPECT_TRUE(read.status().IsDataLoss());
-  EXPECT_EQ(spill.checksum_failures(), 1);
-  EXPECT_EQ(spill.torn_writes_detected(), 1);
+  EXPECT_EQ(RegisteredCounter(metrics, "integrity.checksum_failures"), 1);
+  EXPECT_EQ(RegisteredCounter(metrics, "integrity.torn_writes_detected"), 1);
 }
 
 TEST(SpillIntegrityTest, InjectedStaleReadBackIsCaughtBySequenceCheck) {
-  df::SpillManager spill(FreshSpillDir("stale"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("stale"), metrics);
   FaultInjectorConfig config;
   config.spill_stale_read_rate = 1.0;
   FaultInjector injector(config);
@@ -265,11 +272,12 @@ TEST(SpillIntegrityTest, InjectedStaleReadBackIsCaughtBySequenceCheck) {
   auto read = spill.Read(13);
   ASSERT_FALSE(read.ok());
   EXPECT_TRUE(read.status().IsDataLoss());
-  EXPECT_EQ(spill.torn_writes_detected(), 0);
+  EXPECT_EQ(RegisteredCounter(metrics, "integrity.torn_writes_detected"), 0);
 }
 
 TEST(SpillIntegrityTest, EnospcFailsTheWriteUpFrontAndRetries) {
-  df::SpillManager spill(FreshSpillDir("enospc"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("enospc"), metrics);
   FaultInjectorConfig config;
   config.spill_enospc_rate = 1.0;
   FaultInjector injector(config);
@@ -278,8 +286,8 @@ TEST(SpillIntegrityTest, EnospcFailsTheWriteUpFrontAndRetries) {
 
   Status st = spill.Write(14, PatternPayload(50));
   EXPECT_TRUE(st.IsIOError());
-  EXPECT_EQ(spill.io_retries(), 2);
-  EXPECT_EQ(spill.num_spills(), 0);
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.io_retries"), 2);
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.writes"), 0);
   EXPECT_TRUE(spill.Read(14).status().IsNotFound());
 }
 
@@ -287,7 +295,8 @@ TEST(SpillIntegrityTest, EnospcFailsTheWriteUpFrontAndRetries) {
 // Async writer: the silent-failure window (satellite)
 
 TEST(SpillAsyncErrorTest, AsyncWriteFailureIsStickyPerKey) {
-  df::SpillManager spill(FreshSpillDir("sticky"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("sticky"), metrics);
   FaultInjectorConfig config;
   config.spill_write_failure_rate = 1.0;
   FaultInjector injector(config);
@@ -316,7 +325,8 @@ TEST(SpillAsyncErrorTest, FailedOverwriteNeverServesThePreviousGeneration) {
   // The regression this satellite pins: an async overwrite fails after the
   // last Append but before Finish/Flush. The old bug window would serve the
   // previous generation on Read as if the overwrite never happened.
-  df::SpillManager spill(FreshSpillDir("overwrite"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("overwrite"), metrics);
   FaultInjector injector;  // Inert for the clean first generation.
   spill.set_fault_injector(&injector);
   spill.set_retry_policy(FastRetries(2));
@@ -453,7 +463,7 @@ TEST(ViewCacheIntegrityTest, CorruptViewIsDroppedNotServed) {
   budgets.storage = 64 << 20;
   df::MemoryManager memory(budgets);
   obs::Registry registry;
-  serve::FeatureViewCache cache(&memory, /*capacity_bytes=*/-1, &registry);
+  serve::FeatureViewCache cache(&memory, /*capacity_bytes=*/-1, registry);
 
   df::EngineConfig ec;
   df::Engine engine(ec);
@@ -531,7 +541,7 @@ TEST(CorruptionChaosTest, InjectedCorruptionHealsWithExactAccounting) {
   ASSERT_TRUE(derived.ok());
   ASSERT_TRUE(
       engine.Persist(&*derived, df::PersistenceFormat::kSerialized).ok());
-  ASSERT_GT(engine.stats().num_spills, 0);
+  ASSERT_GT(RegisteredCounter(engine.metrics(), "spill.writes"), 0);
 
   // Every corruption drawn so far sits in a durably-written block. Disarm
   // the injector before reading back: evictions during Collect re-spill

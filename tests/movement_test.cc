@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "dataflow/engine.h"
 #include "dataflow/spill.h"
+#include "registry_reads.h"
 
 namespace vista::df {
 namespace {
@@ -297,7 +298,8 @@ TEST(SerializedFastPathTest, MixedResidencyFallsBackToDecodedPath) {
 // ------------------------------------------------------ Async spill I/O.
 
 TEST(AsyncSpillTest, WriteAsyncIsReadableAfterwards) {
-  SpillManager spill("/tmp/vista_movement_spill_a");
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_movement_spill_a", metrics);
   Rng rng(8);
   std::vector<uint8_t> blob(1 << 16);
   for (auto& b : blob) b = static_cast<uint8_t>(rng.NextUint64(256));
@@ -310,17 +312,41 @@ TEST(AsyncSpillTest, WriteAsyncIsReadableAfterwards) {
 }
 
 TEST(AsyncSpillTest, CounterAccessorsDrainPendingWrites) {
-  SpillManager spill("/tmp/vista_movement_spill_b");
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_movement_spill_b", metrics);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(spill.WriteAsync(i, std::vector<uint8_t>(4096, 7)).ok());
   }
-  // No explicit Flush: the accessors themselves must settle first.
-  EXPECT_EQ(spill.num_spills(), 5);
-  EXPECT_EQ(spill.bytes_written(), 5 * 4096);
+  // No Flush: WaitDrained alone settles the writer thread's counts.
+  spill.WaitDrained();
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.writes"), 5);
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.bytes_written"), 5 * 4096);
+}
+
+TEST(AsyncSpillTest, WaitDrainedLeavesAsyncErrorsForFlush) {
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_movement_spill_e", metrics);
+  FaultInjectorConfig config;
+  config.spill_write_failure_rate = 1.0;
+  FaultInjector injector(config);
+  RetryPolicy policy;
+  policy.max_attempts = 2;
+  policy.base_backoff_ms = 0.0;
+  spill.set_fault_injector(&injector);
+  spill.set_retry_policy(policy);
+
+  ASSERT_TRUE(spill.WriteAsync(4, {1, 2, 3}).ok());
+  spill.WaitDrained();
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.writes"), 0);
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.io_retries"), 1);
+  // Settling counts consumes no error: Flush still reports the failure.
+  EXPECT_TRUE(spill.Flush().IsIOError());
+  EXPECT_TRUE(spill.Flush().ok());
 }
 
 TEST(AsyncSpillTest, FlushPropagatesAndClearsAsyncErrors) {
-  SpillManager spill("/tmp/vista_movement_spill_c");
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_movement_spill_c", metrics);
   FaultInjectorConfig config;
   config.spill_write_failure_rate = 1.0;
   FaultInjector injector(config);
@@ -337,14 +363,15 @@ TEST(AsyncSpillTest, FlushPropagatesAndClearsAsyncErrors) {
   // write's IOError (retryable, so lineage recomputation still recovers) —
   // never a silent NotFound that could mask the failed write.
   EXPECT_TRUE(spill.Read(9).status().IsIOError());
-  EXPECT_EQ(spill.num_spills(), 0);
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.writes"), 0);
   // Remove drops the latch; only then does the key read as absent.
   spill.Remove(9);
   EXPECT_TRUE(spill.Read(9).status().IsNotFound());
 }
 
 TEST(AsyncSpillTest, SyncWriteAfterAsyncWriteOfSameKeyWins) {
-  SpillManager spill("/tmp/vista_movement_spill_d");
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_movement_spill_d", metrics);
   ASSERT_TRUE(spill.WriteAsync(1, std::vector<uint8_t>(512, 1)).ok());
   ASSERT_TRUE(spill.Write(1, std::vector<uint8_t>(256, 2)).ok());
   auto back = spill.Read(1);
@@ -364,11 +391,10 @@ TEST(EngineAsyncSpillTest, SerializedPersistOverlapsSpillWrites) {
   ASSERT_TRUE(table.ok());
   ASSERT_TRUE(
       engine.Persist(&*table, PersistenceFormat::kSerialized).ok());
-  const EngineStats stats = engine.stats();
-  ASSERT_GT(stats.num_spills, 0);
+  ASSERT_GT(RegisteredCounter(engine.metrics(), "spill.writes"), 0);
   // Queue depth > 0 proves blobs were queued behind the writer thread,
   // i.e. serialization and disk I/O actually overlapped.
-  EXPECT_GT(stats.spill_queue_depth_peak, 0);
+  EXPECT_GT(RegisteredGaugeMax(engine.metrics(), "spill.queue_depth"), 0);
   // Spilled data stays readable through the cache (writer drained).
   auto rows = engine.Collect(*table);
   ASSERT_TRUE(rows.ok());

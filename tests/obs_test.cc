@@ -289,7 +289,7 @@ TEST(ObsEndToEndTest, RealRunProducesStageTimingsAndCounters) {
   EXPECT_GT(counter("spill.writes"), 0);
   EXPECT_GT(counter("spill.bytes_written"), 0);
   EXPECT_EQ(counter("spill.bytes_written"),
-            result->engine_stats.spill_bytes_written);
+            engine.stats().spill_bytes_written);
 
   // Per-layer CNN forward-time histograms from EnableProfiling.
   bool found_layer_histogram = false;

@@ -20,6 +20,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,6 +32,7 @@
 #include "dataflow/spill.h"
 #include "dl/model_zoo.h"
 #include "features/synthetic.h"
+#include "registry_reads.h"
 #include "vista/real_executor.h"
 
 namespace vista {
@@ -72,7 +75,8 @@ uint64_t ChaosSeed() {
 // SpillManager: hint lifecycle
 
 TEST(SpillPrefetchTest, HintsServeVerifiedBytesWithoutDoubleReads) {
-  df::SpillManager spill(FreshSpillDir("hits"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("hits"), metrics);
   spill.set_prefetch_capacity(8);
   int64_t payload_bytes = 0;
   for (int64_t key = 0; key < 4; ++key) {
@@ -90,17 +94,20 @@ TEST(SpillPrefetchTest, HintsServeVerifiedBytesWithoutDoubleReads) {
     EXPECT_EQ(*read, PatternPayload(64 + 8 * static_cast<size_t>(key),
                                     static_cast<uint8_t>(key)));
   }
-  EXPECT_EQ(spill.prefetch_requests(), 4);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.requests"), 4);
   // Every hint resolves as a hit or a claim-back; either way the block was
   // read and verified exactly once.
-  EXPECT_EQ(spill.prefetch_hits() + spill.prefetch_claimed(), 4);
-  EXPECT_EQ(spill.prefetch_dropped(), 0);
-  EXPECT_EQ(spill.blocks_verified(), 4);
-  EXPECT_EQ(spill.bytes_read(), payload_bytes);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.hits") +
+                RegisteredCounter(metrics, "prefetch.claimed"),
+            4);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.dropped"), 0);
+  EXPECT_EQ(RegisteredCounter(metrics, "integrity.blocks_verified"), 4);
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.bytes_read"), payload_bytes);
 }
 
 TEST(SpillPrefetchTest, CapacityBoundsOutstandingHints) {
-  df::SpillManager spill(FreshSpillDir("capacity"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("capacity"), metrics);
   spill.set_prefetch_capacity(2);
   // A slow reader keeps the first hints outstanding while the rest arrive.
   FaultInjectorConfig config;
@@ -112,23 +119,24 @@ TEST(SpillPrefetchTest, CapacityBoundsOutstandingHints) {
     ASSERT_TRUE(spill.Write(key, PatternPayload(32)).ok());
   }
   for (int64_t key = 0; key < 5; ++key) spill.Prefetch(key);
-  EXPECT_EQ(spill.prefetch_requests(), 2);
-  EXPECT_EQ(spill.prefetch_dropped(), 3);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.requests"), 2);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.dropped"), 3);
   // Re-hinting a key that already has a slot is a silent dedup.
   spill.Prefetch(0);
-  EXPECT_EQ(spill.prefetch_requests(), 2);
-  EXPECT_EQ(spill.prefetch_dropped(), 3);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.requests"), 2);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.dropped"), 3);
   for (int64_t key = 0; key < 5; ++key) {
     EXPECT_TRUE(spill.Read(key).ok());
   }
 }
 
 TEST(SpillPrefetchTest, MissingAndFailedKeysAreDropped) {
-  df::SpillManager spill(FreshSpillDir("badkeys"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("badkeys"), metrics);
   // No spill entry for the key: nothing to read ahead.
   spill.Prefetch(77);
-  EXPECT_EQ(spill.prefetch_requests(), 0);
-  EXPECT_EQ(spill.prefetch_dropped(), 1);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.requests"), 0);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.dropped"), 1);
 
   // A key with a latched async-write error must not be prefetched: the
   // latched error is the read result (sticky-error satellite of PR 6).
@@ -140,13 +148,14 @@ TEST(SpillPrefetchTest, MissingAndFailedKeysAreDropped) {
   ASSERT_TRUE(spill.WriteAsync(5, PatternPayload(40)).ok());
   EXPECT_TRUE(spill.Flush().IsIOError());
   spill.Prefetch(5);
-  EXPECT_EQ(spill.prefetch_requests(), 0);
-  EXPECT_EQ(spill.prefetch_dropped(), 2);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.requests"), 0);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.dropped"), 2);
   EXPECT_TRUE(spill.Read(5).status().IsIOError());
 }
 
 TEST(SpillPrefetchTest, MemoryBudgetGateDropsHintsWithoutHeadroom) {
-  df::SpillManager spill(FreshSpillDir("budget"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("budget"), metrics);
   df::MemoryBudgets budgets;
   budgets.storage = 100;
   df::MemoryManager memory(budgets);
@@ -157,12 +166,12 @@ TEST(SpillPrefetchTest, MemoryBudgetGateDropsHintsWithoutHeadroom) {
 
   // 200 bytes cannot be charged against a 100-byte budget: dropped.
   spill.Prefetch(1);
-  EXPECT_EQ(spill.prefetch_requests(), 0);
-  EXPECT_EQ(spill.prefetch_dropped(), 1);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.requests"), 0);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.dropped"), 1);
 
   // 60 bytes fit; the charge is held while the slot lives...
   spill.Prefetch(2);
-  EXPECT_EQ(spill.prefetch_requests(), 1);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.requests"), 1);
   EXPECT_EQ(memory.Available(df::MemoryRegion::kStorage), 40);
   // ...and released when the read consumes it.
   auto read = spill.Read(2);
@@ -175,7 +184,8 @@ TEST(SpillPrefetchTest, MemoryBudgetGateDropsHintsWithoutHeadroom) {
 // Fault interaction
 
 TEST(SpillPrefetchTest, CorruptPrefetchedBlockSurfacesDataLossOnce) {
-  df::SpillManager spill(FreshSpillDir("corrupt"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("corrupt"), metrics);
   FaultInjectorConfig config;
   config.spill_bit_flip_rate = 1.0;
   FaultInjector injector(config);
@@ -191,15 +201,17 @@ TEST(SpillPrefetchTest, CorruptPrefetchedBlockSurfacesDataLossOnce) {
   // Same contract as the sync path: kDataLoss (non-retryable), counted
   // exactly once no matter which thread performed the read.
   EXPECT_TRUE(read.status().IsDataLoss());
-  EXPECT_EQ(spill.checksum_failures(), 1);
-  EXPECT_EQ(spill.io_retries(), 0);
-  EXPECT_EQ(spill.prefetch_hits() + spill.prefetch_corrupt_dropped() +
-                spill.prefetch_claimed(),
+  EXPECT_EQ(RegisteredCounter(metrics, "integrity.checksum_failures"), 1);
+  EXPECT_EQ(RegisteredCounter(metrics, "spill.io_retries"), 0);
+  EXPECT_EQ(RegisteredCounter(metrics, "prefetch.hits") +
+                RegisteredCounter(metrics, "prefetch.corrupt_dropped") +
+                RegisteredCounter(metrics, "prefetch.claimed"),
             1);
 }
 
 TEST(SpillPrefetchTest, OverwriteInvalidatesPrefetchedGeneration) {
-  df::SpillManager spill(FreshSpillDir("generations"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("generations"), metrics);
   const std::vector<uint8_t> gen1 = PatternPayload(80, 1);
   const std::vector<uint8_t> gen2 = PatternPayload(80, 2);
   ASSERT_TRUE(spill.Write(3, gen1).ok());
@@ -213,7 +225,8 @@ TEST(SpillPrefetchTest, OverwriteInvalidatesPrefetchedGeneration) {
 }
 
 TEST(SpillPrefetchTest, DelayedReadInjectionStallsButNeverCorrupts) {
-  df::SpillManager spill(FreshSpillDir("delay"));
+  obs::Registry metrics;
+  df::SpillManager spill(FreshSpillDir("delay"), metrics);
   FaultInjectorConfig config;
   config.spill_read_delay_rate = 1.0;
   config.spill_read_delay_ms = 1.0;
@@ -230,8 +243,8 @@ TEST(SpillPrefetchTest, DelayedReadInjectionStallsButNeverCorrupts) {
   }
   // One stall per read, data and integrity counters untouched.
   EXPECT_EQ(injector.injected(FaultSite::kSpillReadDelay), 3);
-  EXPECT_EQ(spill.blocks_verified(), 3);
-  EXPECT_EQ(spill.checksum_failures(), 0);
+  EXPECT_EQ(RegisteredCounter(metrics, "integrity.blocks_verified"), 3);
+  EXPECT_EQ(RegisteredCounter(metrics, "integrity.checksum_failures"), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -252,6 +265,8 @@ df::Table MakeNumbersTable(df::Engine* engine, int n, int partitions) {
 struct ChaosOutcome {
   std::vector<float> values;
   df::EngineStats stats;
+  /// The engine's "prefetch.*" counters, keyed by instrument name.
+  std::map<std::string, int64_t> prefetch;
 };
 
 /// One corruption-chaos pass: every partition of a derived table is forced
@@ -284,6 +299,11 @@ ChaosOutcome RunChaos(int prefetch_depth) {
   out.values.assign(96, -1.0f);
   for (const df::Record& r : *rows) out.values[r.id] = r.struct_features[0];
   out.stats = engine.stats();
+  for (const char* name :
+       {"prefetch.requests", "prefetch.hits", "prefetch.claimed",
+        "prefetch.corrupt_dropped", "prefetch.dropped"}) {
+    out.prefetch[name] = RegisteredCounter(engine.metrics(), name);
+  }
   return out;
 }
 
@@ -309,12 +329,13 @@ TEST(EnginePrefetchChaosTest, AccountingIdenticalWithPrefetchOnAndOff) {
   // The serial run issued no hints; the pipelined run's hints are fully
   // accounted for: every accepted hint ends as a hit, a claim-back, a
   // dropped-corrupt consumption, or an invalidation/shutdown drop.
-  EXPECT_EQ(serial.stats.prefetch_requests, 0);
-  EXPECT_GT(pipelined.stats.prefetch_requests, 0);
-  EXPECT_EQ(pipelined.stats.prefetch_hits + pipelined.stats.prefetch_claimed +
-                pipelined.stats.prefetch_corrupt_dropped +
-                pipelined.stats.prefetch_dropped,
-            pipelined.stats.prefetch_requests);
+  const std::map<std::string, int64_t>& hints = pipelined.prefetch;
+  EXPECT_EQ(serial.prefetch.at("prefetch.requests"), 0);
+  EXPECT_GT(hints.at("prefetch.requests"), 0);
+  EXPECT_EQ(hints.at("prefetch.hits") + hints.at("prefetch.claimed") +
+                hints.at("prefetch.corrupt_dropped") +
+                hints.at("prefetch.dropped"),
+            hints.at("prefetch.requests"));
 }
 
 struct DelayOutcome {

@@ -6,6 +6,7 @@
 
 #include "dl/model_zoo.h"
 #include "features/synthetic.h"
+#include "registry_reads.h"
 #include "vista/real_executor.h"
 
 namespace vista {
@@ -144,7 +145,7 @@ TEST(RealExecutorTest, Int8StagedRunMetersQuantizedOps) {
   // The analytic accounting and the per-layer profiling counters both see
   // the quantized work.
   EXPECT_GT(result->inference_int8_ops, 0);
-  EXPECT_GT(f.engine->stats().dl_int8_ops, 0);
+  EXPECT_GT(RegisteredCounterSum(f.engine->metrics(), "dl.int8_ops."), 0);
 
   // An fp32 run of the same workload meters no int8 ops.
   auto plan32 = CompilePlan(LogicalPlan::kStaged, f.workload);
@@ -320,7 +321,7 @@ TEST(RealExecutorTest, WorksWithSpillingStorage) {
   auto result =
       executor.Run(*plan, f.workload, f.t_str, f.t_img, FastConfig());
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->engine_stats.num_spills, 0);
+  EXPECT_GT(RegisteredCounter(f.engine->metrics(), "spill.writes"), 0);
   EXPECT_EQ(result->per_layer.size(), 3u);
 }
 

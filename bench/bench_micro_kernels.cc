@@ -4,10 +4,11 @@
 //
 // `--smoke` skips google-benchmark and runs the kernel smoke suite
 // instead: naive-vs-packed GEMM on a conv-shaped 256x1152x196 problem,
-// batched-inference thread scaling, and the scratch-arena reuse counters,
-// written as a machine-readable report (default BENCH_smoke_kernels.json,
-// override with `--out <path>`) — the input to the CI bench-regression
-// gate (scripts/bench_regression.py).
+// batched-inference thread scaling, the batch-major vs one-image speedup,
+// and the scratch-arena reuse counters, written as a machine-readable
+// report (default BENCH_smoke_kernels.json, override with `--out <path>`)
+// — the input to the CI bench-regression gate
+// (scripts/bench_regression.py).
 
 #include <benchmark/benchmark.h>
 
@@ -403,7 +404,7 @@ int RunKernelSmoke(int argc, char** argv) {
     };
     const auto im = [&] {
       return Conv2DGemmImplicit(conv_in, conv_w, conv_b, conv_s, conv_p, 1,
-                                /*relu=*/false, nullptr);
+                                /*relu=*/false);
     };
     auto ex_out = ex();  // Warm-up + the bit-identity operands.
     auto im_out = im();
@@ -492,7 +493,7 @@ int RunKernelSmoke(int argc, char** argv) {
     };
     const auto implicit = [&] {
       return Conv2DGemmInt8(conv_in, *qw, conv_b, conv_s, conv_p, 1,
-                            /*relu=*/false, act_scale, nullptr);
+                            /*relu=*/false, act_scale);
     };
     legacy();  // Warm-up + bit-identity operands.
     auto im_out = implicit();
@@ -518,18 +519,25 @@ int RunKernelSmoke(int argc, char** argv) {
                 identical ? 1 : 0);
   }
 
-  // --- Batched partial inference: 8 images through MicroAlexNet, serial
-  // vs a 4-thread pool in inter-image mode. Efficiency is reported both
-  // raw (speedup / threads) and normalized to the cores actually available
-  // — on a 1-2 core CI runner the raw number cannot approach 1 no matter
-  // how good the scheduling is.
+  // --- Batched partial inference: MicroAlexNet images, serial vs a
+  // 4-thread pool. RunRangeBatch hands the pool one task per group of
+  // images (64 from fc6 on), so the batch holds 4 groups per thread.
+  // Efficiency is reported both raw (speedup / threads) and normalized to
+  // the cores actually available — on a 1-2 core CI runner the raw number
+  // cannot approach 1 no matter how good the scheduling is.
   {
     auto arch = dl::MicroAlexNetArch();
     auto model = dl::CnnModel::Instantiate(*arch, 3);
     model->EnableProfiling(&registry);  // dl.forward_ms.* + dl.flops.*
+    const int threads = 4;
+    int64_t group = 1;
+    for (const dl::LayerStat& layer : arch->layers()) {
+      group = std::max(group, layer.group_images);
+    }
+    const int64_t count = 4 * threads * group;
     Rng rng(2);
     std::vector<Tensor> images;
-    for (int i = 0; i < 8; ++i) {
+    for (int64_t i = 0; i < count; ++i) {
       images.push_back(Tensor::RandomGaussian(Shape{3, 32, 32}, &rng));
     }
     const int last = arch->num_layers() - 1;
@@ -537,11 +545,9 @@ int RunKernelSmoke(int argc, char** argv) {
     const double serial_ms = TimeMs(5, [&] {
       benchmark::DoNotOptimize(model->RunRangeBatch(images, 0, last));
     });
-    const int threads = 4;
     ThreadPool pool(threads);
     dl::CnnOptions opts;
     opts.pool = &pool;
-    opts.parallelism = dl::CnnParallelism::kInterImage;
     (void)model->RunRangeBatch(images, 0, last, opts);
     const double parallel_ms = TimeMs(5, [&] {
       benchmark::DoNotOptimize(model->RunRangeBatch(images, 0, last, opts));
@@ -551,7 +557,8 @@ int RunKernelSmoke(int argc, char** argv) {
         std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
     const int effective = std::min(threads, available);
     obs::Json batched = obs::Json::Object();
-    batched.Set("images", obs::Json::Int(8));
+    batched.Set("images", obs::Json::Int(count));
+    batched.Set("group_images", obs::Json::Int(group));
     batched.Set("threads", obs::Json::Int(threads));
     batched.Set("available_cores", obs::Json::Int(available));
     batched.Set("serial_ms", obs::Json::Num(serial_ms));
@@ -561,10 +568,64 @@ int RunKernelSmoke(int argc, char** argv) {
     batched.Set("efficiency_normalized",
                 obs::Json::Num(speedup / effective));
     reporter.AddSection("batched_inference", std::move(batched));
-    std::printf("batched inference x8: serial %.2f ms, %d threads %.2f ms "
-                "(%.2fx, efficiency %.2f raw / %.2f over %d cores)\n",
-                serial_ms, threads, parallel_ms, speedup, speedup / threads,
-                speedup / effective, effective);
+    std::printf("batched inference x%lld: serial %.2f ms, %d threads %.2f "
+                "ms (%.2fx, efficiency %.2f raw / %.2f over %d cores)\n",
+                static_cast<long long>(count), serial_ms, threads,
+                parallel_ms, speedup, speedup / threads, speedup / effective,
+                effective);
+  }
+
+  // --- Batch-major inference on one thread: 256 MicroResNet50 conv4_6
+  // outputs through conv5_1..fc6 as one RunRangeBatch (groups of 16, one
+  // GEMM per conv per group) vs 256 one-image RunRange calls. The speedup
+  // is the GEMM-shape win; bit_identical (0/1) requires every output to
+  // match its one-image run byte for byte.
+  {
+    auto arch = dl::MicroResNet50Arch();
+    auto model = dl::CnnModel::Instantiate(*arch, 5);
+    const int from = arch->FindLayer("conv5_1").value();
+    const int last = arch->num_layers() - 1;
+    Rng rng(8);
+    std::vector<Tensor> images;
+    for (int i = 0; i < 256; ++i) {
+      images.push_back(Tensor::RandomGaussian(Shape{3, 32, 32}, &rng));
+    }
+    const std::vector<Tensor> inputs =
+        model->RunRangeBatch(images, 0, from - 1).value();
+    const auto batched = [&] {
+      return model->RunRangeBatch(inputs, from, last).value();
+    };
+    const auto one_by_one = [&] {
+      std::vector<Tensor> out;
+      for (const Tensor& x : inputs) {
+        out.push_back(model->RunRange(x, from, last).value());
+      }
+      return out;
+    };
+    const std::vector<Tensor> want = one_by_one();  // Warm-up + operands.
+    const std::vector<Tensor> got = batched();
+    bool identical = want.size() == got.size();
+    for (size_t i = 0; identical && i < want.size(); ++i) {
+      identical = want[i].shape() == got[i].shape() &&
+                  std::memcmp(want[i].data(), got[i].data(),
+                              static_cast<size_t>(want[i].num_bytes())) == 0;
+    }
+    const double one_ms =
+        TimeMs(5, [&] { benchmark::DoNotOptimize(one_by_one()); });
+    const double batch_ms =
+        TimeMs(5, [&] { benchmark::DoNotOptimize(batched()); });
+    const double speedup = one_ms / batch_ms;
+    obs::Json bm = obs::Json::Object();
+    bm.Set("images", obs::Json::Int(256));
+    bm.Set("group_images", obs::Json::Int(arch->layer(from).group_images));
+    bm.Set("one_image_ms", obs::Json::Num(one_ms));
+    bm.Set("batched_ms", obs::Json::Num(batch_ms));
+    bm.Set("speedup", obs::Json::Num(speedup));
+    bm.Set("bit_identical", obs::Json::Num(identical ? 1.0 : 0.0));
+    reporter.AddSection("batch_major", std::move(bm));
+    std::printf("batch-major conv5_1..fc6 x256: one image at a time %.2f "
+                "ms, grouped %.2f ms (%.2fx, bit-identical %d)\n",
+                one_ms, batch_ms, speedup, identical ? 1 : 0);
   }
 
   // --- Scratch arena: after the runs above every kernel call must be

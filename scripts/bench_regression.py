@@ -59,6 +59,13 @@ BENCHES = {
             ("implicit_conv_int8", "implicit_speedup_vs_im2col"),
             ("implicit_conv_int8", "bit_identical"),
             ("batched_inference", "efficiency_normalized"),
+            # Batch-major inference: one-thread RunRangeBatch of 256
+            # images through MicroResNet50 conv5_1..fc6 (one GEMM per conv
+            # per group of 16) vs 256 one-image RunRange calls, and the
+            # 0/1 indicator that every grouped output equals its one-image
+            # run byte for byte.
+            ("batch_major", "speedup"),
+            ("batch_major", "bit_identical"),
         ],
         "informational": [
             ("gemm_256x1152x196", "naive_ms"),
@@ -74,6 +81,8 @@ BENCHES = {
             ("batched_inference", "serial_ms"),
             ("batched_inference", "parallel_ms"),
             ("batched_inference", "efficiency_raw"),
+            ("batch_major", "one_image_ms"),
+            ("batch_major", "batched_ms"),
         ],
     },
     "shuffle": {

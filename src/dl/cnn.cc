@@ -2,13 +2,39 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/thread_pool.h"
-#include "tensor/gemm.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
 
 namespace vista::dl {
+namespace {
+
+/// GEMM columns a narrow layer's group aims for: four micro-tile strips.
+/// More columns buy little speed but hold more images per thread.
+constexpr int64_t kGroupColumns = 4 * kGemmNR;
+
+/// fn(i) for i in [0, n): on `pool` when non-null, else in order. Returns
+/// the first failure in index order.
+Status ForEach(ThreadPool* pool, int64_t n,
+               const std::function<Status(int64_t)>& fn) {
+  // Pool tasks must not throw: each task reports through its own slot.
+  std::vector<Status> statuses(static_cast<size_t>(n));
+  auto run = [&](int64_t i) { statuses[i] = fn(i); };
+  if (pool != nullptr) {
+    pool->ParallelFor(n, run);
+  } else {
+    for (int64_t i = 0; i < n; ++i) run(i);
+  }
+  for (const Status& s : statuses) {
+    VISTA_RETURN_IF_ERROR(s);
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<int> CnnArchitecture::FindLayer(const std::string& name) const {
   for (int i = 0; i < num_layers(); ++i) {
@@ -159,6 +185,7 @@ Result<CnnArchitecture> CnnBuilder::Build() {
     }
     LayerStat stat;
     stat.name = layer.name;
+    int64_t columns = kGemmNR;  // Per-image columns of the layer's GEMMs.
     for (OpSpec op : layer.ops) {
       // FC on a non-vector input implies a flatten, as in the builder API.
       if (op.kind == OpKind::kFc && shape.rank() != 1) {
@@ -168,6 +195,15 @@ Result<CnnArchitecture> CnnBuilder::Build() {
       stat.flops += op_stat.flops;
       stat.param_count += op_stat.param_count;
       shape = op_stat.output_shape;
+      // Every conv of a bottleneck runs at its output resolution.
+      if (op.kind == OpKind::kConv || op.kind == OpKind::kBottleneck) {
+        columns = std::min(columns, shape.dim(1) * shape.dim(2));
+      } else if (op.kind == OpKind::kFc) {
+        columns = 1;
+      }
+    }
+    if (columns < kGemmNR) {
+      stat.group_images = (kGroupColumns + columns - 1) / columns;
     }
     cumulative += stat.flops;
     stat.cumulative_flops = cumulative;
@@ -213,15 +249,15 @@ Result<Tensor> CnnModel::Run(const Tensor& image) const {
 }
 
 Result<Tensor> CnnModel::RunRange(const Tensor& input, int from, int to,
-                                  ThreadPool* pool) const {
-  CnnOptions opts;
-  opts.pool = pool;
-  return RunRange(input, from, to, opts);
+                                  const CnnOptions& opts) const {
+  VISTA_ASSIGN_OR_RETURN(std::vector<Tensor> out,
+                         RunRangeBatch({input}, from, to, opts));
+  return std::move(out.front());
 }
 
-Result<Tensor> CnnModel::RunRange(const Tensor& input, int from, int to,
-                                  const CnnOptions& opts) const {
-  ThreadPool* pool = opts.pool;
+Result<std::vector<Tensor>> CnnModel::RunRangeBatch(
+    const std::vector<Tensor>& inputs, int from, int to,
+    const CnnOptions& opts) const {
   if (opts.precision == Precision::kInt8 && !int8_calibrated_) {
     return Status::FailedPrecondition(
         "RunRange: int8 precision requested for " + arch_->name() +
@@ -232,73 +268,96 @@ Result<Tensor> CnnModel::RunRange(const Tensor& input, int from, int to,
         "RunRange: bad layer range [" + std::to_string(from) + ", " +
         std::to_string(to) + "] for " + arch_->name());
   }
-  const Shape& expected = from == 0
-                              ? arch_->input_shape()
-                              : arch_->layer(from - 1).output_shape;
-  if (input.shape() != expected &&
-      input.num_elements() != expected.num_elements()) {
-    return Status::InvalidArgument(
-        "RunRange: input shape " + input.shape().ToString() +
-        " is not shape-compatible with layer " + std::to_string(from) +
-        " of " + arch_->name() + " (expected " + expected.ToString() + ")");
-  }
-  // Flattened inputs (e.g. features stored as vectors in the dataflow
-  // engine) are reshaped back to the layer's expected tensor shape.
-  Tensor t = input.shape() == expected
-                 ? input
-                 : Tensor(expected, std::vector<float>(
-                                        input.data(),
-                                        input.data() + input.num_elements()));
-  const bool int8 = opts.precision == Precision::kInt8;
-  for (int li = from; li <= to; ++li) {
-    obs::ScopedLatency latency(
-        layer_forward_ms_.empty() ? nullptr : layer_forward_ms_[li]);
-    if (!layer_flops_.empty()) layer_flops_[li]->Add(arch_->layer(li).flops);
-    if (int8 && !layer_int8_ops_.empty()) {
-      layer_int8_ops_[li]->Add(layer_quant_flops_[li]);
-    }
-    for (const PrimitiveInstance& prim : layers_[li].primitives) {
-      VISTA_ASSIGN_OR_RETURN(t, ApplyPrimitive(prim, t, pool,
-                                               opts.precision));
+  // Flattened inputs (features stored as vectors in the dataflow engine)
+  // hold the same values as the layer's expected tensor shape.
+  const Shape& expected = from == 0 ? arch_->input_shape()
+                                    : arch_->layer(from - 1).output_shape;
+  for (const Tensor& input : inputs) {
+    if (input.num_elements() != expected.num_elements()) {
+      return Status::InvalidArgument(
+          "RunRange: input shape " + input.shape().ToString() +
+          " is not shape-compatible with layer " + std::to_string(from) +
+          " of " + arch_->name() + " (expected " + expected.ToString() +
+          ")");
     }
   }
-  return t;
-}
-
-Result<std::vector<Tensor>> CnnModel::RunRangeBatch(
-    const std::vector<Tensor>& inputs, int from, int to,
-    const CnnOptions& opts) const {
   std::vector<Tensor> out(inputs.size());
-  if (inputs.empty()) return out;
-  ThreadPool* pool = opts.pool;
-  const bool inter = opts.parallelism == CnnParallelism::kInterImage &&
-                     pool != nullptr && pool->num_threads() > 1 &&
-                     inputs.size() > 1;
-  if (!inter) {
-    // Serial over images; a non-null pool is spent inside each kernel.
-    CnnOptions intra = opts;
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      VISTA_ASSIGN_OR_RETURN(out[i], RunRange(inputs[i], from, to, intra));
+  const int64_t n = static_cast<int64_t>(inputs.size());
+  const int64_t threads =
+      opts.pool != nullptr ? opts.pool->num_threads() : 1;
+  int split = from;
+  while (split <= to && arch_->layer(split).group_images == 1) ++split;
+  const int64_t group = split <= to ? arch_->layer(split).group_images : 1;
+  // A batch too small to give every pool thread a full group runs every
+  // layer one image per task: grouping would leave threads idle on the
+  // narrow layers, and under concurrent queries the serving plane's tail
+  // latency rose with it.
+  if (n < group * threads) split = to + 1;
+  // Per-image input shape of the narrow suffix, and of the range's output.
+  const Shape& mid =
+      split > from ? arch_->layer(split - 1).output_shape : expected;
+  const Shape& out_shape = arch_->layer(to).output_shape;
+  // Chunks of one group per pool thread. In a chunk the wide prefix runs
+  // one pool task per image, each output landing in its slot of a group,
+  // then the narrow suffix runs one task per group. No task holds more
+  // than one image of wide work or one group of narrow work, and at most
+  // one chunk of suffix inputs is live.
+  const int64_t chunk =
+      split <= to ? group * threads : std::max<int64_t>(n, 1);
+  for (int64_t c0 = 0; c0 < n; c0 += chunk) {
+    const int64_t c1 = std::min(n, c0 + chunk);
+    std::vector<Tensor> groups;
+    if (split <= to) {
+      for (int64_t g0 = c0; g0 < c1; g0 += group) {
+        groups.emplace_back(GroupShape(mid, std::min(group, c1 - g0)));
+      }
     }
-    return out;
-  }
-  // One task per image, each with serial kernels; failures land in
-  // per-image Status slots (pool tasks must not throw).
-  CnnOptions per_image = opts;
-  per_image.pool = nullptr;
-  std::vector<Status> statuses(inputs.size());
-  pool->ParallelFor(static_cast<int64_t>(inputs.size()), [&](int64_t i) {
-    auto run = RunRange(inputs[i], from, to, per_image);
-    if (run.ok()) {
-      out[i] = std::move(run).value();
-    } else {
-      statuses[i] = run.status();
-    }
-  });
-  for (const Status& s : statuses) {
-    VISTA_RETURN_IF_ERROR(s);
+    ThreadPool* wide_pool = split > from ? opts.pool : nullptr;
+    VISTA_RETURN_IF_ERROR(ForEach(wide_pool, c1 - c0, [&](int64_t k) {
+      Tensor t = inputs[c0 + k].Reshape(GroupShape(expected, 1));
+      if (split > from) {
+        VISTA_ASSIGN_OR_RETURN(t, RunLayers(std::move(t), 1, from, split - 1,
+                                            opts.precision));
+      }
+      if (split > to) {
+        out[c0 + k] = t.Reshape(out_shape);
+      } else {
+        PutImage(t, k % group, &groups[k / group]);
+      }
+      return Status::OK();
+    }));
+    VISTA_RETURN_IF_ERROR(ForEach(
+        opts.pool, static_cast<int64_t>(groups.size()), [&](int64_t g) {
+          const int64_t images = groups[g].shape().dim(1);
+          VISTA_ASSIGN_OR_RETURN(Tensor y,
+                                 RunLayers(std::move(groups[g]), images,
+                                           split, to, opts.precision));
+          for (int64_t j = 0; j < images; ++j) {
+            out[c0 + g * group + j] = TakeImage(y, j, out_shape);
+          }
+          return Status::OK();
+        }));
   }
   return out;
+}
+
+Result<Tensor> CnnModel::RunLayers(Tensor group, int64_t images, int lo,
+                                   int hi, Precision precision) const {
+  const bool int8 = precision == Precision::kInt8;
+  for (int li = lo; li <= hi; ++li) {
+    obs::ScopedLatency latency(
+        layer_forward_ms_.empty() ? nullptr : layer_forward_ms_[li]);
+    if (!layer_flops_.empty()) {
+      layer_flops_[li]->Add(arch_->layer(li).flops * images);
+    }
+    if (int8 && !layer_int8_ops_.empty()) {
+      layer_int8_ops_[li]->Add(layer_quant_flops_[li] * images);
+    }
+    for (const PrimitiveInstance& prim : layers_[li].primitives) {
+      VISTA_ASSIGN_OR_RETURN(group, ApplyPrimitive(prim, group, precision));
+    }
+  }
+  return group;
 }
 
 void CnnModel::EnableProfiling(obs::Registry* registry) {
@@ -371,19 +430,14 @@ Status CnnModel::CalibrateInt8(const std::vector<Tensor>& images) {
   }
   const Shape& expected = arch_->input_shape();
   for (const Tensor& image : images) {
-    if (image.shape() != expected &&
-        image.num_elements() != expected.num_elements()) {
+    if (image.num_elements() != expected.num_elements()) {
       return Status::InvalidArgument(
           "CalibrateInt8: image shape " + image.shape().ToString() +
           " is not shape-compatible with " + arch_->name() + " input " +
           expected.ToString());
     }
-    Tensor t = image.shape() == expected
-                   ? image
-                   : Tensor(expected,
-                            std::vector<float>(
-                                image.data(),
-                                image.data() + image.num_elements()));
+    // A group of one: the same primitives batched inference runs.
+    Tensor t = image.Reshape(GroupShape(expected, 1));
     for (size_t li = 0; li < layers_.size(); ++li) {
       for (size_t pi = 0; pi < layers_[li].primitives.size(); ++pi) {
         const PrimitiveInstance& prim = layers_[li].primitives[pi];

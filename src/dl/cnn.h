@@ -19,22 +19,13 @@ class ThreadPool;
 
 namespace vista::dl {
 
-/// How batched partial inference spends a thread pool (the engine's `cpu`
-/// knob, spent one of two ways).
-enum class CnnParallelism {
-  /// One task per image; each image's kernels run single-threaded. Best
-  /// throughput when the batch is at least as wide as the pool.
-  kInterImage,
-  /// Images run in order; each convolution parallelizes its GEMM row tiles
-  /// across the pool. Best latency for small batches or huge layers.
-  kIntraImage,
-};
-
-/// Threading and precision choices for RunRange/RunRangeBatch. Null pool =
-/// serial everything.
+/// Threading and precision choices for RunRange/RunRangeBatch.
 struct CnnOptions {
+  /// RunRangeBatch hands the pool one task per image for the wide layers
+  /// and one task per group of images (LayerStat::group_images) for the
+  /// narrow ones; kernels inside a task run single-threaded. Null runs
+  /// everything in order on the calling thread.
   ThreadPool* pool = nullptr;
-  CnnParallelism parallelism = CnnParallelism::kInterImage;
   /// Numeric precision of the forward pass. kInt8 requires the model to be
   /// calibrated first (CnnModel::CalibrateInt8); kConv/kFc primitives then
   /// run on the quantized packed GEMM with fp32 layer boundaries.
@@ -54,6 +45,14 @@ struct LayerStat {
   /// True if the output is a CHW feature map (the paper then applies grid
   /// max pooling before flattening, footnote 4).
   bool convolutional = false;
+  /// Images that batched inference runs through this layer together. A
+  /// layer is *narrow* when one image gives its conv/FC GEMMs fewer
+  /// columns (output pixels; 1 for FC) than a micro-tile row (kGemmNR);
+  /// it then runs on groups of ceil(64 / columns) images, so each GEMM
+  /// spans about four micro-tile strips: 16 images at a 2x2 conv, 64 at
+  /// an FC layer. Wide layers (every GEMM already fills a strip) and
+  /// layers without a GEMM report 1 and run one image at a time.
+  int64_t group_images = 1;
 };
 
 /// Declarative description of one logical layer: a named run of primitives.
@@ -161,23 +160,24 @@ class CnnModel {
 
   /// Partial inference f̂_{from→to}: `input` must be the output of logical
   /// layer `from - 1` (or the raw image iff from == 0); runs logical layers
-  /// [from, to] inclusive. A non-null `pool` parallelizes each convolution
-  /// across its GEMM row tiles (intra-image parallelism).
+  /// [from, to] inclusive as a group of one image. `opts.precision`
+  /// selects the numeric path. FailedPrecondition when int8 is requested
+  /// without calibration.
   Result<Tensor> RunRange(const Tensor& input, int from, int to,
-                          ThreadPool* pool = nullptr) const;
+                          const CnnOptions& opts = {}) const;
 
-  /// RunRange with full options: `opts.pool` parallelizes kernels
-  /// (intra-image; `opts.parallelism` is a batch-level knob and is ignored
-  /// here) and `opts.precision` selects the numeric path.
-  /// FailedPrecondition when int8 is requested without calibration.
-  Result<Tensor> RunRange(const Tensor& input, int from, int to,
-                          const CnnOptions& opts) const;
-
-  /// Batched partial inference: RunRange over every tensor in `inputs`,
-  /// spending `opts.pool` per `opts.parallelism` — either one pool task per
-  /// image (kInterImage) or pool-parallel kernels inside each image in turn
-  /// (kIntraImage). Results are positionally aligned with `inputs`; the
-  /// first per-image failure aborts the batch.
+  /// Batched partial inference, batch-major: RunRange over every tensor in
+  /// `inputs`. Along a range spatial size only shrinks, so the range splits
+  /// into a wide prefix, run one image at a time, and a narrow suffix
+  /// starting at the first layer whose group_images > 1, run on groups of
+  /// that many images: each narrow conv and FC is one GEMM over the
+  /// group's columns. The batch goes through in chunks of one group per
+  /// pool thread: `opts.pool` gets one task per image for a chunk's wide
+  /// prefix, then one task per group for its suffix. A batch smaller than
+  /// one chunk runs every layer one image per task instead. Every output
+  /// is bit-identical to RunRange on that image alone, at any pool size.
+  /// Results are positionally aligned with `inputs`; an input of the wrong
+  /// size or the first failing task fails the whole batch.
   Result<std::vector<Tensor>> RunRangeBatch(const std::vector<Tensor>& inputs,
                                             int from, int to,
                                             const CnnOptions& opts = {}) const;
@@ -209,15 +209,15 @@ class CnnModel {
   /// replaced since).
   bool has_int8_calibration() const { return int8_calibrated_; }
 
-  /// Turns on per-layer forward profiling: every subsequent RunRange
-  /// records each logical layer's wall time into a
+  /// Turns on per-layer forward profiling: every subsequent run records
+  /// the wall time of each logical layer over each group into a
   /// "dl.forward_ms.<arch>.<layer>" histogram and adds the layer's analytic
-  /// FLOPs to a "dl.flops.<arch>.<layer>" counter in `registry`
-  /// (instruments resolved here, once) — the counters divide into the
-  /// histograms for achieved per-layer GFLOP/s. Int8 runs additionally add
-  /// the layer's quantizable (kConv/kFc) ops to a
-  /// "dl.int8_ops.<arch>.<layer>" counter. Null disables profiling again.
-  /// The registry must outlive the model.
+  /// FLOPs times the group's images to a "dl.flops.<arch>.<layer>" counter
+  /// in `registry` (instruments resolved here, once) — the counters divide
+  /// into the histograms' sums for achieved per-layer GFLOP/s. Int8 runs
+  /// additionally add the layer's quantizable (kConv/kFc) ops per image to
+  /// a "dl.int8_ops.<arch>.<layer>" counter. Null disables profiling
+  /// again. The registry must outlive the model.
   void EnableProfiling(obs::Registry* registry);
 
   /// Analytic ops of logical layer `i` that run on the quantized kernel
@@ -229,6 +229,10 @@ class CnnModel {
   struct LayerInstance {
     std::vector<PrimitiveInstance> primitives;
   };
+
+  /// Logical layers [lo, hi] over a channel-major group of `images`.
+  Result<Tensor> RunLayers(Tensor group, int64_t images, int lo, int hi,
+                           Precision precision) const;
 
   std::shared_ptr<const CnnArchitecture> arch_;
   std::vector<LayerInstance> layers_;

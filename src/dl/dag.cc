@@ -213,8 +213,8 @@ Result<DagModel> DagModel::Instantiate(const DagArchitecture& arch,
   return model;
 }
 
-Result<Tensor> DagModel::EvalNode(int node, std::map<int, Tensor>* memo,
-                                  ThreadPool* pool) const {
+Result<Tensor> DagModel::EvalNode(int node,
+                                  std::map<int, Tensor>* memo) const {
   auto it = memo->find(node);
   if (it != memo->end()) return it->second;
   const DagNodeSpec& spec = arch_->node_spec(node);
@@ -230,7 +230,7 @@ Result<Tensor> DagModel::EvalNode(int node, std::map<int, Tensor>* memo,
     inputs.push_back(raw->second);
   } else {
     for (int input : spec.inputs) {
-      VISTA_ASSIGN_OR_RETURN(Tensor value, EvalNode(input, memo, pool));
+      VISTA_ASSIGN_OR_RETURN(Tensor value, EvalNode(input, memo));
       inputs.push_back(std::move(value));
     }
   }
@@ -238,18 +238,21 @@ Result<Tensor> DagModel::EvalNode(int node, std::map<int, Tensor>* memo,
   for (const Tensor& t : inputs) shapes.push_back(t.shape());
   VISTA_ASSIGN_OR_RETURN(Shape merged_shape,
                          MergedShape(shapes, spec.merge, spec.name));
-  VISTA_ASSIGN_OR_RETURN(Tensor value,
+  VISTA_ASSIGN_OR_RETURN(Tensor merged,
                          MergeTensors(inputs, spec.merge, merged_shape));
+  // One input is a group of one, as in CnnModel::RunRange.
+  Tensor group = merged.Reshape(GroupShape(merged_shape, 1));
   for (const PrimitiveInstance& prim : nodes_[node].primitives) {
-    VISTA_ASSIGN_OR_RETURN(value, ApplyPrimitive(prim, value, pool));
+    VISTA_ASSIGN_OR_RETURN(group, ApplyPrimitive(prim, group));
   }
+  const Tensor value = group.Reshape(arch_->node(node).output_shape);
   memo->emplace(node, value);
   return value;
 }
 
 Result<std::map<int, Tensor>> DagModel::Compute(
-    const std::map<int, Tensor>& available, const std::vector<int>& targets,
-    ThreadPool* pool) const {
+    const std::map<int, Tensor>& available,
+    const std::vector<int>& targets) const {
   std::map<int, Tensor> memo = available;
   std::map<int, Tensor> out;
   for (int target : targets) {
@@ -257,17 +260,17 @@ Result<std::map<int, Tensor>> DagModel::Compute(
       return Status::InvalidArgument("bad DAG target index " +
                                      std::to_string(target));
     }
-    VISTA_ASSIGN_OR_RETURN(Tensor value, EvalNode(target, &memo, pool));
+    VISTA_ASSIGN_OR_RETURN(Tensor value, EvalNode(target, &memo));
     out.emplace(target, std::move(value));
   }
   return out;
 }
 
-Result<Tensor> DagModel::ComputeFromInput(const Tensor& input, int target,
-                                          ThreadPool* pool) const {
+Result<Tensor> DagModel::ComputeFromInput(const Tensor& input,
+                                          int target) const {
   std::map<int, Tensor> available;
   available.emplace(kRawInput, input);
-  VISTA_ASSIGN_OR_RETURN(auto values, Compute(available, {target}, pool));
+  VISTA_ASSIGN_OR_RETURN(auto values, Compute(available, {target}));
   return values.at(target);
 }
 

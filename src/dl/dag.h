@@ -100,25 +100,21 @@ class DagModel {
   /// the raw input goes under index kRawInput). Only the missing part of
   /// the DAG is evaluated. Fails (FailedPrecondition) if a required value
   /// can be reached neither from `available` nor from the raw input.
-  /// A non-null `pool` parallelizes each node's convolution GEMMs across
-  /// their row tiles (the DAG itself is evaluated sequentially in
-  /// dependency order).
+  /// Nodes are evaluated in dependency order, each as a group of one image
+  /// (dl/primitive.h).
   static constexpr int kRawInput = -1;
   Result<std::map<int, Tensor>> Compute(const std::map<int, Tensor>& available,
-                                        const std::vector<int>& targets,
-                                        ThreadPool* pool = nullptr) const;
+                                        const std::vector<int>& targets) const;
 
   /// Convenience: full inference of one node from the raw input.
-  Result<Tensor> ComputeFromInput(const Tensor& input, int target,
-                                  ThreadPool* pool = nullptr) const;
+  Result<Tensor> ComputeFromInput(const Tensor& input, int target) const;
 
  private:
   struct NodeInstance {
     std::vector<PrimitiveInstance> primitives;
   };
 
-  Result<Tensor> EvalNode(int node, std::map<int, Tensor>* memo,
-                          ThreadPool* pool) const;
+  Result<Tensor> EvalNode(int node, std::map<int, Tensor>* memo) const;
 
   std::shared_ptr<const DagArchitecture> arch_;
   std::vector<NodeInstance> nodes_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -55,7 +56,58 @@ Tensor HeInit(Shape shape, int64_t fan_in, Rng* rng) {
   return Tensor::RandomGaussian(std::move(shape), rng, stddev);
 }
 
+/// An FC's input group as the (D, N) matrix whose column i is image i's
+/// flattened CHW values. A (C, N, H, W) map group needs its (N, H*W)
+/// blocks transposed per channel unless N or H*W is 1.
+Tensor FlattenGroup(const Tensor& group) {
+  const Shape& s = group.shape();
+  if (s.rank() != 4) return group;
+  const int64_t c = s.dim(0);
+  const int64_t n = s.dim(1);
+  const int64_t hw = s.dim(2) * s.dim(3);
+  if (n == 1 || hw == 1) return group.Reshape(Shape{c * hw, n});
+  Tensor out(Shape{c * hw, n});
+  const float* in = group.data();
+  float* o = out.mutable_data();
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int64_t i = 0; i < n; ++i) {
+      const float* src = in + (ch * n + i) * hw;
+      for (int64_t p = 0; p < hw; ++p) o[(ch * hw + p) * n + i] = src[p];
+    }
+  }
+  return out;
+}
+
 }  // namespace
+
+Shape GroupShape(const Shape& image, int64_t images) {
+  std::vector<int64_t> dims = image.dims();
+  dims.insert(dims.begin() + std::min(1, image.rank()), images);
+  return Shape(std::move(dims));
+}
+
+void PutImage(const Tensor& image, int64_t i, Tensor* group) {
+  const int64_t c = group->shape().dim(0);
+  const int64_t n = group->shape().dim(1);
+  const int64_t inner = group->num_elements() / (c * n);
+  for (int64_t ch = 0; ch < c; ++ch) {
+    std::memcpy(group->mutable_data() + (ch * n + i) * inner,
+                image.data() + ch * inner, sizeof(float) * inner);
+  }
+}
+
+Tensor TakeImage(const Tensor& group, int64_t i, const Shape& image) {
+  const int64_t c = group.shape().dim(0);
+  const int64_t n = group.shape().dim(1);
+  if (n == 1) return group.Reshape(image);
+  const int64_t inner = group.num_elements() / (c * n);
+  Tensor out(image);
+  for (int64_t ch = 0; ch < c; ++ch) {
+    std::memcpy(out.mutable_data() + ch * inner,
+                group.data() + (ch * n + i) * inner, sizeof(float) * inner);
+  }
+  return out;
+}
 
 const char* PrecisionName(Precision p) {
   return p == Precision::kInt8 ? "int8" : "fp32";
@@ -128,8 +180,7 @@ Result<PrimitiveInstance> InstantiatePrimitive(const OpSpec& op,
 }
 
 Result<Tensor> ApplyPrimitive(const PrimitiveInstance& prim,
-                              const Tensor& input, ThreadPool* pool,
-                              Precision precision) {
+                              const Tensor& input, Precision precision) {
   const OpSpec& op = prim.spec;
   const bool int8 = precision == Precision::kInt8 &&
                     (op.kind == OpKind::kConv || op.kind == OpKind::kFc);
@@ -145,11 +196,11 @@ Result<Tensor> ApplyPrimitive(const PrimitiveInstance& prim,
       if (int8) {
         return Conv2DGemmInt8(input, prim.quant.weights, prim.weights[1],
                               op.stride, op.pad, std::max(1, op.groups),
-                              op.relu, prim.quant.act_scale, pool);
+                              op.relu, prim.quant.act_scale);
       }
       return Conv2DGemmImplicit(input, prim.weights[0], prim.weights[1],
                                 op.stride, op.pad, std::max(1, op.groups),
-                                op.relu, pool);
+                                op.relu);
     case OpKind::kMaxPool:
       return MaxPool2D(input, op.window, op.stride, op.pad);
     case OpKind::kAvgPool:
@@ -159,48 +210,49 @@ Result<Tensor> ApplyPrimitive(const PrimitiveInstance& prim,
     case OpKind::kLrn:
       return LocalResponseNorm(input);
     case OpKind::kFc: {
-      Tensor x = input.shape().rank() == 1 ? input : input.Flatten();
+      // One GEMM over the group's columns; ReLU is fused either way.
+      const Tensor x = FlattenGroup(input);
       if (int8) {
-        // ReLU is fused into the quantized epilogue.
         return FullyConnectedInt8(x, prim.quant.weights, prim.weights[1],
                                   op.relu, prim.quant.act_scale);
       }
-      VISTA_ASSIGN_OR_RETURN(
-          Tensor out, FullyConnected(x, prim.weights[0], prim.weights[1]));
-      if (op.relu) out = Relu(out);
-      return out;
+      return FullyConnectedGemm(x, prim.weights[0], prim.weights[1],
+                                op.relu);
     }
     case OpKind::kFlatten:
-      return input.Flatten();
+      return FlattenGroup(input);
     case OpKind::kSoftmax:
       return Softmax(input);
     case OpKind::kBottleneck: {
-      // Batch norm follows each conv, so ReLU cannot be fused here; the
-      // pool still parallelizes the three (or four) GEMMs.
+      // Batch norm follows each conv, so ReLU cannot be fused here; BN,
+      // ReLU and the residual add write over the conv outputs they are
+      // handed instead of copying the group's buffer.
       const auto& w = prim.weights;
       VISTA_ASSIGN_OR_RETURN(
           Tensor h1, Conv2DGemmImplicit(input, w[0], w[1], op.stride, 0, 1,
-                                        /*relu=*/false, pool));
-      VISTA_ASSIGN_OR_RETURN(h1, BatchNormInference(h1, w[2], w[3]));
-      h1 = Relu(h1);
+                                        /*relu=*/false));
+      VISTA_ASSIGN_OR_RETURN(h1,
+                             BatchNormInference(std::move(h1), w[2], w[3]));
       VISTA_ASSIGN_OR_RETURN(
-          Tensor h2,
-          Conv2DGemmImplicit(h1, w[4], w[5], 1, 1, 1, /*relu=*/false, pool));
-      VISTA_ASSIGN_OR_RETURN(h2, BatchNormInference(h2, w[6], w[7]));
-      h2 = Relu(h2);
+          Tensor h2, Conv2DGemmImplicit(Relu(std::move(h1)), w[4], w[5], 1,
+                                        1, 1, /*relu=*/false));
+      VISTA_ASSIGN_OR_RETURN(h2,
+                             BatchNormInference(std::move(h2), w[6], w[7]));
       VISTA_ASSIGN_OR_RETURN(
-          Tensor h3,
-          Conv2DGemmImplicit(h2, w[8], w[9], 1, 0, 1, /*relu=*/false, pool));
-      VISTA_ASSIGN_OR_RETURN(h3, BatchNormInference(h3, w[10], w[11]));
+          Tensor h3, Conv2DGemmImplicit(Relu(std::move(h2)), w[8], w[9], 1,
+                                        0, 1, /*relu=*/false));
+      VISTA_ASSIGN_OR_RETURN(
+          h3, BatchNormInference(std::move(h3), w[10], w[11]));
       Tensor skip = input;
       if (op.project) {
         VISTA_ASSIGN_OR_RETURN(
             skip, Conv2DGemmImplicit(input, w[12], w[13], op.stride, 0, 1,
-                                     /*relu=*/false, pool));
-        VISTA_ASSIGN_OR_RETURN(skip, BatchNormInference(skip, w[14], w[15]));
+                                     /*relu=*/false));
+        VISTA_ASSIGN_OR_RETURN(
+            skip, BatchNormInference(std::move(skip), w[14], w[15]));
       }
-      VISTA_ASSIGN_OR_RETURN(Tensor sum, Add(h3, skip));
-      return Relu(sum);
+      VISTA_ASSIGN_OR_RETURN(Tensor sum, Add(std::move(h3), skip));
+      return Relu(std::move(sum));
     }
   }
   return Status::Internal("unhandled OpKind in ApplyPrimitive");

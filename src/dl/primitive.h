@@ -9,10 +9,6 @@
 #include "tensor/quant.h"
 #include "tensor/tensor.h"
 
-namespace vista {
-class ThreadPool;
-}
-
 namespace vista::dl {
 
 /// Numeric precision of a forward pass. kInt8 runs calibrated kConv/kFc
@@ -68,15 +64,33 @@ Result<PrimitiveInstance> InstantiatePrimitive(const OpSpec& op,
                                                WeightInit init,
                                                bool* first_conv);
 
-/// Executes one primitive on `input`. The input must be shape-compatible
-/// with the shape the primitive was instantiated for. A non-null `pool`
-/// parallelizes the convolution GEMMs across their row tiles (intra-image
-/// parallelism); convolution ReLUs are fused into the GEMM epilogue either
-/// way. Precision::kInt8 routes calibrated kConv/kFc primitives through
-/// the quantized GEMM (FailedPrecondition if the primitive was never
-/// calibrated); other primitive kinds ignore the precision.
+/// Shape of a group of `images` activations of per-image shape `image`,
+/// stored channel-major — the layout every primitive runs on: a CHW map
+/// becomes (C, images, H, W) and a length-D vector (D, images), so image
+/// i's channel c is the contiguous run at (c * images + i) * inner. A
+/// group of one holds exactly the single image's values in order.
+Shape GroupShape(const Shape& image, int64_t images);
+
+/// Copies `image` (any shape holding one image's values in CHW order) into
+/// slot `i` of the channel-major `group`.
+void PutImage(const Tensor& image, int64_t i, Tensor* group);
+
+/// Image `i` of the channel-major `group` as a tensor of per-image shape
+/// `image`. A group of one is reshaped without copying.
+Tensor TakeImage(const Tensor& group, int64_t i, const Shape& image);
+
+/// Executes one primitive on a channel-major group of images (GroupShape;
+/// a group of one is the single-image case). The group must hold images of
+/// the shape the primitive was instantiated for (an FC also accepts the
+/// unflattened map group it follows). Conv and FC primitives run as one
+/// packed GEMM over the whole group, with bias and ReLU fused into the
+/// epilogue; every other kind applies to the group's buffer. Each image's
+/// result is bit-identical whatever group it runs in. Precision::kInt8
+/// routes calibrated kConv/kFc primitives through the quantized GEMM
+/// (FailedPrecondition if the primitive was never calibrated); other
+/// primitive kinds ignore the precision.
 Result<Tensor> ApplyPrimitive(const PrimitiveInstance& prim,
-                              const Tensor& input, ThreadPool* pool = nullptr,
+                              const Tensor& input,
                               Precision precision = Precision::kFp32);
 
 }  // namespace vista::dl

@@ -60,11 +60,13 @@ void Im2ColInto(const float* in, int64_t c, int64_t h, int64_t w, int kernel,
 
 /// Shared shape validation + derived geometry for the Conv2DGemm* family.
 /// `name` prefixes error messages so each entry point keeps its own
-/// diagnostics.
+/// diagnostics. The input is one CHW image or a channel-major
+/// (C, N, H, W) group of N images.
 struct ConvGeom {
   int64_t k_total = 0;
   int kernel = 1;
   int64_t c = 0;
+  int64_t images = 1;
   int64_t h = 0;
   int64_t w = 0;
   int64_t h_out = 0;
@@ -73,6 +75,7 @@ struct ConvGeom {
   int64_t rows = 0;     // Patch rows per group: c/groups * kernel^2.
   int64_t spatial = 0;  // h_out * w_out.
   int64_t k_per_group = 0;
+  Shape out_shape;      // (K, H_out, W_out), or (K, N, H_out, W_out).
 };
 
 Status ComputeConvGeom(const char* name, const Shape& in_shape,
@@ -91,8 +94,9 @@ Status ComputeConvGeom(const char* name, const Shape& in_shape,
       bias_shape.dim(0) != g->k_total) {
     return Status::InvalidArgument(p + ": filters/groups mismatch");
   }
-  g->c = in_shape.rank() == 3 ? in_shape.dim(0) : 0;
-  if (in_shape.rank() != 3 || g->c % groups != 0 ||
+  const int rank = in_shape.rank();
+  g->c = rank == 3 || rank == 4 ? in_shape.dim(0) : 0;
+  if ((rank != 3 && rank != 4) || g->c % groups != 0 ||
       ws.dim(1) != g->c / groups) {
     return Status::InvalidArgument(
         p + ": input channels incompatible with weights/groups");
@@ -100,20 +104,58 @@ Status ComputeConvGeom(const char* name, const Shape& in_shape,
   if (g->kernel < 1 || stride < 1 || pad < 0) {
     return Status::InvalidArgument(p + ": bad kernel/stride/pad");
   }
-  g->h = in_shape.dim(1);
-  g->w = in_shape.dim(2);
+  g->images = rank == 4 ? in_shape.dim(1) : 1;
+  g->h = in_shape.dim(rank - 2);
+  g->w = in_shape.dim(rank - 1);
   if (g->kernel > g->h + 2 * pad || g->kernel > g->w + 2 * pad) {
     return Status::InvalidArgument(p + ": kernel larger than padded input");
   }
   g->h_out = (g->h + 2 * pad - g->kernel) / stride + 1;
   g->w_out = (g->w + 2 * pad - g->kernel) / stride + 1;
-  if (g->h_out <= 0 || g->w_out <= 0) {
+  if (g->h_out <= 0 || g->w_out <= 0 || g->images < 1) {
     return Status::InvalidArgument(p + ": empty output");
   }
   g->c_per_group = g->c / groups;
   g->rows = g->c_per_group * g->kernel * g->kernel;
   g->spatial = g->h_out * g->w_out;
   g->k_per_group = g->k_total / groups;
+  g->out_shape = rank == 4 ? Shape{g->k_total, g->images, g->h_out, g->w_out}
+                           : Shape{g->k_total, g->h_out, g->w_out};
+  return Status::OK();
+}
+
+/// Conv group `gi`'s implicit patch matrix over every image of `input`.
+ConvPatchView GroupPatchView(const ConvGeom& g, const float* input,
+                             int64_t gi, int stride, int pad) {
+  ConvPatchView view;
+  view.input = input + gi * g.c_per_group * g.images * g.h * g.w;
+  view.images = g.images;
+  view.h = g.h;
+  view.w = g.w;
+  view.kernel = g.kernel;
+  view.stride = stride;
+  view.pad = pad;
+  view.w_out = g.w_out;
+  return view;
+}
+
+/// Shape checks shared by the fp32 and int8 fully connected layers; sets
+/// `n` to the number of input vectors (columns).
+Status CheckFcShapes(const char* name, const Shape& in, const Shape& ws,
+                     const Shape& bias, int64_t* n) {
+  const std::string p(name);
+  if (ws.rank() != 2 || bias.rank() != 1) {
+    return Status::InvalidArgument(p + ": bad weights/bias rank");
+  }
+  if ((in.rank() != 1 && in.rank() != 2) || in.dim(0) != ws.dim(1)) {
+    return Status::InvalidArgument(
+        p + ": input shape " + in.ToString() + " does not hold vectors of " +
+        std::to_string(ws.dim(1)) + " elements");
+  }
+  if (bias.dim(0) != ws.dim(0)) {
+    return Status::InvalidArgument(p + ": bias length mismatch");
+  }
+  *n = in.rank() == 2 ? in.dim(1) : 1;
   return Status::OK();
 }
 
@@ -190,12 +232,15 @@ Result<Tensor> Conv2DGemm(const Tensor& input, const Tensor& weights,
                           const Tensor& bias, int stride, int pad,
                           int groups) {
   return Conv2DGemmImplicit(input, weights, bias, stride, pad, groups,
-                            /*relu=*/false, /*pool=*/nullptr);
+                            /*relu=*/false);
 }
 
 Result<Tensor> Conv2DGemmEx(const Tensor& input, const Tensor& weights,
                             const Tensor& bias, int stride, int pad,
                             int groups, bool relu, ThreadPool* pool) {
+  if (input.shape().rank() != 3) {
+    return Status::InvalidArgument("Conv2DGemmEx expects one CHW image");
+  }
   ConvGeom g;
   VISTA_RETURN_IF_ERROR(ComputeConvGeom("Conv2DGemm", input.shape(),
                                         weights.shape(), bias.shape(), stride,
@@ -211,7 +256,7 @@ Result<Tensor> Conv2DGemmEx(const Tensor& input, const Tensor& weights,
   Im2ColInto(input.data(), g.c, g.h, g.w, g.kernel, stride, pad, groups,
              g.h_out, g.w_out, cols);
 
-  Tensor out(Shape{g.k_total, g.h_out, g.w_out});
+  Tensor out(g.out_shape);
   float* o = out.mutable_data();
   const float* wt = weights.data();
   const float* b = bias.data();
@@ -238,51 +283,37 @@ Result<Tensor> Conv2DGemmEx(const Tensor& input, const Tensor& weights,
 
 Result<Tensor> Conv2DGemmImplicit(const Tensor& input, const Tensor& weights,
                                   const Tensor& bias, int stride, int pad,
-                                  int groups, bool relu, ThreadPool* pool) {
+                                  int groups, bool relu) {
   ConvGeom g;
   VISTA_RETURN_IF_ERROR(ComputeConvGeom("Conv2DGemm", input.shape(),
                                         weights.shape(), bias.shape(), stride,
                                         pad, groups, &g));
   KernelScratch& scratch = KernelScratch::ThreadLocal();
-  Tensor out(Shape{g.k_total, g.h_out, g.w_out});
+  Tensor out(g.out_shape);
   float* o = out.mutable_data();
   const float* wt = weights.data();
   const float* b = bias.data();
+  // One GEMM per conv group over every image: columns are (image, pixel).
+  const int64_t cols = g.images * g.spatial;
   // 1x1 / stride-1 / pad-0: the patch matrix IS the group's input slice
-  // (rows = c_per_group, columns = the h*w pixels), so the packed GEMM can
-  // read it in place with ldb = h*w — no gather at all.
+  // (rows = c_per_group, columns = the images' h*w pixels, contiguous in
+  // the channel-major layout), so the packed GEMM can read it in place
+  // with ldb = cols — no gather at all.
   const bool unit = g.kernel == 1 && stride == 1 && pad == 0;
   for (int64_t gi = 0; gi < groups; ++gi) {
     GemmEpilogue epilogue;
     epilogue.bias = b + gi * g.k_per_group;
     epilogue.relu = relu;
     const float* a_g = wt + gi * g.k_per_group * g.rows;
-    const float* in_g = input.data() + gi * g.c_per_group * g.h * g.w;
-    float* c_g = o + gi * g.k_per_group * g.spatial;
+    const ConvPatchView view =
+        GroupPatchView(g, input.data(), gi, stride, pad);
+    float* c_g = o + gi * g.k_per_group * cols;
     if (unit) {
-      if (pool != nullptr) {
-        GemmPackedParallel(g.k_per_group, g.spatial, g.rows, a_g, g.rows,
-                           in_g, g.spatial, c_g, g.spatial, epilogue, pool);
-      } else {
-        GemmPacked(g.k_per_group, g.spatial, g.rows, a_g, g.rows, in_g,
-                   g.spatial, c_g, g.spatial, epilogue, &scratch);
-      }
-      continue;
-    }
-    ConvPatchView view;
-    view.input = in_g;
-    view.h = g.h;
-    view.w = g.w;
-    view.kernel = g.kernel;
-    view.stride = stride;
-    view.pad = pad;
-    view.w_out = g.w_out;
-    if (pool != nullptr) {
-      GemmPackedConvParallel(g.k_per_group, g.spatial, g.rows, a_g, g.rows,
-                             view, c_g, g.spatial, epilogue, pool);
+      GemmPacked(g.k_per_group, cols, g.rows, a_g, g.rows, view.input, cols,
+                 c_g, cols, epilogue, &scratch);
     } else {
-      GemmPackedConv(g.k_per_group, g.spatial, g.rows, a_g, g.rows, view,
-                     c_g, g.spatial, epilogue, &scratch);
+      GemmPackedConv(g.k_per_group, cols, g.rows, a_g, g.rows, view, c_g,
+                     cols, epilogue, &scratch);
     }
   }
   return out;
@@ -290,8 +321,7 @@ Result<Tensor> Conv2DGemmImplicit(const Tensor& input, const Tensor& weights,
 
 Result<Tensor> Conv2DGemmInt8(const Tensor& input, const QuantizedWeights& qw,
                               const Tensor& bias, int stride, int pad,
-                              int groups, bool relu, float act_scale,
-                              ThreadPool* pool) {
+                              int groups, bool relu, float act_scale) {
   ConvGeom g;
   VISTA_RETURN_IF_ERROR(ComputeConvGeom("Conv2DGemmInt8", input.shape(),
                                         qw.shape, bias.shape(), stride, pad,
@@ -317,34 +347,38 @@ Result<Tensor> Conv2DGemmInt8(const Tensor& input, const QuantizedWeights& qw,
     scales[i] = qw.scales[static_cast<size_t>(i)] * act;
   }
 
-  Tensor out(Shape{g.k_total, g.h_out, g.w_out});
+  Tensor out(g.out_shape);
   float* o = out.mutable_data();
   const int8_t* wt = qw.data.data();
   const float* b = bias.data();
+  const int64_t cols = g.images * g.spatial;
   for (int64_t gi = 0; gi < groups; ++gi) {
     GemmInt8Epilogue epilogue;
     epilogue.scale = scales + gi * g.k_per_group;
     epilogue.bias = b + gi * g.k_per_group;
     epilogue.relu = relu;
-    const int8_t* a_g = wt + gi * g.k_per_group * g.rows;
-    float* c_g = o + gi * g.k_per_group * g.spatial;
-    ConvPatchView view;
-    view.input = input.data() + gi * g.c_per_group * g.h * g.w;
-    view.h = g.h;
-    view.w = g.w;
-    view.kernel = g.kernel;
-    view.stride = stride;
-    view.pad = pad;
-    view.w_out = g.w_out;
-    if (pool != nullptr) {
-      GemmPackedConvInt8Parallel(g.k_per_group, g.spatial, g.rows, a_g,
-                                 g.rows, view, act_scale, c_g, g.spatial,
-                                 epilogue, pool);
-    } else {
-      GemmPackedConvInt8(g.k_per_group, g.spatial, g.rows, a_g, g.rows, view,
-                         act_scale, c_g, g.spatial, epilogue, &scratch);
-    }
+    GemmPackedConvInt8(g.k_per_group, cols, g.rows,
+                       wt + gi * g.k_per_group * g.rows, g.rows,
+                       GroupPatchView(g, input.data(), gi, stride, pad),
+                       act_scale, o + gi * g.k_per_group * cols, cols,
+                       epilogue, &scratch);
   }
+  return out;
+}
+
+Result<Tensor> FullyConnectedGemm(const Tensor& input, const Tensor& weights,
+                                  const Tensor& bias, bool relu) {
+  int64_t n = 1;
+  VISTA_RETURN_IF_ERROR(CheckFcShapes("FullyConnectedGemm", input.shape(),
+                                      weights.shape(), bias.shape(), &n));
+  const int64_t out_dim = weights.shape().dim(0);
+  const int64_t in_dim = weights.shape().dim(1);
+  Tensor out(input.shape().rank() == 2 ? Shape{out_dim, n} : Shape{out_dim});
+  GemmEpilogue epilogue;
+  epilogue.bias = bias.data();
+  epilogue.relu = relu;
+  GemmPacked(out_dim, n, in_dim, weights.data(), in_dim, input.data(), n,
+             out.mutable_data(), n, epilogue, &KernelScratch::ThreadLocal());
   return out;
 }
 
@@ -352,40 +386,31 @@ Result<Tensor> FullyConnectedInt8(const Tensor& input,
                                   const QuantizedWeights& qw,
                                   const Tensor& bias, bool relu,
                                   float act_scale) {
-  const Shape& ws = qw.shape;
-  if (ws.rank() != 2 || bias.shape().rank() != 1) {
-    return Status::InvalidArgument(
-        "FullyConnectedInt8: bad weights/bias rank");
-  }
-  const int64_t out_dim = ws.dim(0);
-  const int64_t in_dim = ws.dim(1);
-  if (input.num_elements() != in_dim) {
-    return Status::InvalidArgument(
-        "FullyConnectedInt8: input has " +
-        std::to_string(input.num_elements()) + " elements, weights expect " +
-        std::to_string(in_dim));
-  }
-  if (bias.shape().dim(0) != out_dim ||
-      static_cast<int64_t>(qw.scales.size()) != out_dim) {
+  int64_t n = 1;
+  VISTA_RETURN_IF_ERROR(CheckFcShapes("FullyConnectedInt8", input.shape(),
+                                      qw.shape, bias.shape(), &n));
+  const int64_t out_dim = qw.shape.dim(0);
+  const int64_t in_dim = qw.shape.dim(1);
+  if (static_cast<int64_t>(qw.scales.size()) != out_dim) {
     return Status::InvalidArgument("FullyConnectedInt8: bias length mismatch");
   }
   KernelScratch& scratch = KernelScratch::ThreadLocal();
   int8_t* qx = static_cast<int8_t*>(scratch.AcquireBytes(
-      KernelScratch::Slot::kQuantAct, static_cast<size_t>(in_dim)));
-  QuantizeSymmetric(input.data(), in_dim, act_scale, qx);
+      KernelScratch::Slot::kQuantAct, static_cast<size_t>(in_dim * n)));
+  QuantizeSymmetric(input.data(), in_dim * n, act_scale, qx);
   float* scales = scratch.Acquire(KernelScratch::Slot::kScales,
                                   static_cast<size_t>(out_dim));
   const float act = act_scale > 0.0f ? act_scale : 0.0f;
   for (int64_t i = 0; i < out_dim; ++i) {
     scales[i] = qw.scales[static_cast<size_t>(i)] * act;
   }
-  Tensor out(Shape{out_dim});
+  Tensor out(input.shape().rank() == 2 ? Shape{out_dim, n} : Shape{out_dim});
   GemmInt8Epilogue epilogue;
   epilogue.scale = scales;
   epilogue.bias = bias.data();
   epilogue.relu = relu;
-  GemmPackedInt8(out_dim, 1, in_dim, qw.data.data(), in_dim, qx, 1,
-                 out.mutable_data(), 1, epilogue, &scratch);
+  GemmPackedInt8(out_dim, n, in_dim, qw.data.data(), in_dim, qx, n,
+                 out.mutable_data(), n, epilogue, &scratch);
   return out;
 }
 

@@ -84,27 +84,34 @@ struct ConvRowTaps {
 };
 
 /// One strip's worth of output columns decomposed into output-row runs:
-/// columns [jc + jr + q, jc + jr + q + len) all sit in output row oy
-/// starting at output column ox. At most kGemmNR runs (w_out == 1), and
-/// for typical conv grids one or two. Built once per strip — the span
-/// walk is independent of the patch row, so the p loop reuses it.
+/// columns [jc + jr + q, jc + jr + q + len) all sit in output row oy of
+/// one image, starting at output column ox; `plane` is that image's
+/// offset within a channel (image * h * w). At most kGemmNR runs
+/// (w_out == 1), and for typical conv grids one or two. Built once per
+/// strip — the span walk is independent of the patch row, so the p loop
+/// reuses it. fp32 and int8 packers share it, so both see the image
+/// dimension the same way.
 struct StripSpans {
   struct Run {
     int32_t q, len, oy, ox;
+    int64_t plane;
   };
   Run runs[kGemmNR];
   int n = 0;
 
   void Build(const ConvPatchView& v, int64_t col0, int64_t nr) {
+    const int64_t h_out = (v.h + 2 * v.pad - v.kernel) / v.stride + 1;
     n = 0;
     int64_t q = 0;
     while (q < nr) {
       const int64_t col = col0 + q;
-      const int64_t oy = col / v.w_out;
-      const int64_t ox = col - oy * v.w_out;
+      const int64_t row = col / v.w_out;  // (image, oy) row-major.
+      const int64_t ox = col - row * v.w_out;
+      const int64_t image = row / h_out;
       const int64_t len = std::min(nr - q, v.w_out - ox);
       runs[n++] = {static_cast<int32_t>(q), static_cast<int32_t>(len),
-                   static_cast<int32_t>(oy), static_cast<int32_t>(ox)};
+                   static_cast<int32_t>(row - image * h_out),
+                   static_cast<int32_t>(ox), image * v.h * v.w};
       q += len;
     }
   }
@@ -123,13 +130,14 @@ void PackBConv(const ConvPatchView& v, int64_t pc, int64_t jc, int64_t kc,
   ConvRowTaps taps;
   taps.Build(v, pc, kc);
   StripSpans spans;
+  const int64_t channel_stride = v.images * v.h * v.w;
   for (int64_t jr = 0; jr < nc; jr += kGemmNR) {
     const int64_t nr = std::min(kGemmNR, nc - jr);
     spans.Build(v, jc + jr, nr);
     float* dst = bp + jr * kc;
     for (int64_t p = 0; p < kc; ++p) {
       const float* chan =
-          v.input + static_cast<int64_t>(taps.cc[p]) * v.h * v.w;
+          v.input + static_cast<int64_t>(taps.cc[p]) * channel_stride;
       const int64_t ky = taps.ky[p];
       const int64_t kx = taps.kx[p];
       float* out = dst + p * kGemmNR;
@@ -141,7 +149,7 @@ void PackBConv(const ConvPatchView& v, int64_t pc, int64_t jc, int64_t kc,
           for (int32_t i = 0; i < run.len; ++i) o[i] = 0.0f;
           continue;
         }
-        const float* row = chan + iy * v.w;
+        const float* row = chan + run.plane + iy * v.w;
         if (v.stride == 1) {
           // Column run.ox + i reads ix = ix0 + i: zeros while ix < 0, an
           // unchecked contiguous copy while 0 <= ix < w, zeros past the
@@ -358,6 +366,7 @@ void PackBConvInt8(const ConvPatchView& v, float act_scale, int64_t pc,
   ConvRowTaps taps;
   taps.Build(v, pc, kc);
   StripSpans spans;
+  const int64_t channel_stride = v.images * v.h * v.w;
   for (int64_t jr = 0; jr < nc; jr += kGemmNR) {
     const int64_t nr = std::min(kGemmNR, nc - jr);
     spans.Build(v, jc + jr, nr);
@@ -370,7 +379,7 @@ void PackBConvInt8(const ConvPatchView& v, float act_scale, int64_t pc,
         continue;
       }
       const float* chan =
-          v.input + static_cast<int64_t>(taps.cc[p]) * v.h * v.w;
+          v.input + static_cast<int64_t>(taps.cc[p]) * channel_stride;
       const int64_t ky = taps.ky[p];
       const int64_t kx = taps.kx[p];
       for (int s = 0; s < spans.n; ++s) {
@@ -381,7 +390,7 @@ void PackBConvInt8(const ConvPatchView& v, float act_scale, int64_t pc,
           for (int32_t i = 0; i < run.len; ++i) o[i * 4] = 128;
           continue;
         }
-        const float* row = chan + iy * v.w;
+        const float* row = chan + run.plane + iy * v.w;
         for (int32_t i = 0; i < run.len; ++i) {
           const int64_t ix = (run.ox + i) * v.stride - v.pad + kx;
           const float val =
@@ -733,57 +742,6 @@ void GemmPackedInt8Driver(int64_t m, int64_t n, int64_t k, const int8_t* a,
   }
 }
 
-template <typename PackBFn>
-void GemmPackedInt8ParallelDriver(int64_t m, int64_t n, int64_t k,
-                                  const int8_t* a, int64_t lda,
-                                  PackBFn&& pack_b, float* c, int64_t ldc,
-                                  const GemmInt8Epilogue& epilogue,
-                                  ThreadPool* pool) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    EpilogueOnlyInt8(m, n, c, ldc, epilogue);
-    return;
-  }
-  g_gemm_int8_ops.fetch_add(2 * m * n * k, std::memory_order_relaxed);
-  const float inv_out =
-      epilogue.out_scale > 0.0f ? 1.0f / epilogue.out_scale : 0.0f;
-  KernelScratch& caller = KernelScratch::ThreadLocal();
-  for (int64_t jc = 0; jc < n; jc += kGemmNC) {
-    const int64_t nc = std::min(kGemmNC, n - jc);
-    for (int64_t pc = 0; pc < k; pc += kGemmKcInt8) {
-      const int64_t kc = std::min(kGemmKcInt8, k - pc);
-      const int64_t kc4 = RoundUp(kc, 4);
-      const bool first = pc == 0;
-      const bool last = pc + kc == k;
-      // The B panel is packed once into the caller's arena; workers read
-      // it concurrently (it is immutable until the ParallelFor returns).
-      uint8_t* bp = static_cast<uint8_t*>(caller.AcquireBytes(
-          KernelScratch::Slot::kPackBInt8,
-          static_cast<size_t>(RoundUp(nc, kGemmNR) * kc4)));
-      pack_b(pc, jc, kc, nc, bp);
-      const int64_t num_blocks = (m + kGemmMC - 1) / kGemmMC;
-      pool->ParallelFor(num_blocks, [&](int64_t blk) {
-        const int64_t ic = blk * kGemmMC;
-        const int64_t mc = std::min(kGemmMC, m - ic);
-        KernelScratch& local = KernelScratch::ThreadLocal();
-        int8_t* ap = static_cast<int8_t*>(local.AcquireBytes(
-            KernelScratch::Slot::kPackAInt8,
-            static_cast<size_t>(RoundUp(mc, kGemmMR) * kc4)));
-        int32_t rowsum[kGemmMC];
-        PackAInt8(a + ic * lda + pc, lda, mc, kc, ap, rowsum);
-        InnerTilesInt8(
-            mc, nc, kc, ap, bp, rowsum, c + ic * ldc + jc, ldc, first, last,
-            epilogue.scale != nullptr ? epilogue.scale + ic : nullptr,
-            epilogue.bias != nullptr ? epilogue.bias + ic : nullptr,
-            epilogue.relu,
-            epilogue.c8 != nullptr ? epilogue.c8 + ic * epilogue.ldc8 + jc
-                                   : nullptr,
-            epilogue.ldc8, inv_out);
-      });
-    }
-  }
-}
-
 /// Below ~2 MFLOP the dispatch overhead beats the row-tile win; one M
 /// block also leaves nothing to distribute.
 inline bool ParallelTooSmall(int64_t m, int64_t n, int64_t k,
@@ -838,23 +796,6 @@ void GemmPackedParallel(int64_t m, int64_t n, int64_t k, const float* a,
       c, ldc, epilogue, pool);
 }
 
-void GemmPackedConvParallel(int64_t m, int64_t n, int64_t k, const float* a,
-                            int64_t lda, const ConvPatchView& b, float* c,
-                            int64_t ldc, const GemmEpilogue& epilogue,
-                            ThreadPool* pool) {
-  if (ParallelTooSmall(m, n, k, pool)) {
-    GemmPackedConv(m, n, k, a, lda, b, c, ldc, epilogue,
-                   &KernelScratch::ThreadLocal());
-    return;
-  }
-  GemmPackedParallelDriver(
-      m, n, k, a, lda,
-      [&](int64_t pc, int64_t jc, int64_t kc, int64_t nc, float* bp) {
-        PackBConv(b, pc, jc, kc, nc, bp);
-      },
-      c, ldc, epilogue, pool);
-}
-
 int64_t GemmInt8OpsTotal() {
   return g_gemm_int8_ops.load(std::memory_order_relaxed);
 }
@@ -884,43 +825,6 @@ void GemmPackedConvInt8(int64_t m, int64_t n, int64_t k, const int8_t* a,
         PackBConvInt8(b, act_scale, pc, jc, kc, nc, bp);
       },
       c, ldc, epilogue, scratch);
-}
-
-void GemmPackedInt8Parallel(int64_t m, int64_t n, int64_t k, const int8_t* a,
-                            int64_t lda, const int8_t* b, int64_t ldb,
-                            float* c, int64_t ldc,
-                            const GemmInt8Epilogue& epilogue,
-                            ThreadPool* pool) {
-  if (ParallelTooSmall(m, n, k, pool)) {
-    GemmPackedInt8(m, n, k, a, lda, b, ldb, c, ldc, epilogue,
-                   &KernelScratch::ThreadLocal());
-    return;
-  }
-  GemmPackedInt8ParallelDriver(
-      m, n, k, a, lda,
-      [&](int64_t pc, int64_t jc, int64_t kc, int64_t nc, uint8_t* bp) {
-        PackBInt8(b + pc * ldb + jc, ldb, kc, nc, bp);
-      },
-      c, ldc, epilogue, pool);
-}
-
-void GemmPackedConvInt8Parallel(int64_t m, int64_t n, int64_t k,
-                                const int8_t* a, int64_t lda,
-                                const ConvPatchView& b, float act_scale,
-                                float* c, int64_t ldc,
-                                const GemmInt8Epilogue& epilogue,
-                                ThreadPool* pool) {
-  if (ParallelTooSmall(m, n, k, pool)) {
-    GemmPackedConvInt8(m, n, k, a, lda, b, act_scale, c, ldc, epilogue,
-                       &KernelScratch::ThreadLocal());
-    return;
-  }
-  GemmPackedInt8ParallelDriver(
-      m, n, k, a, lda,
-      [&](int64_t pc, int64_t jc, int64_t kc, int64_t nc, uint8_t* bp) {
-        PackBConvInt8(b, act_scale, pc, jc, kc, nc, bp);
-      },
-      c, ldc, epilogue, pool);
 }
 
 }  // namespace vista

@@ -9,8 +9,8 @@ namespace vista {
 
 class ThreadPool;
 
-/// Blocked, packed single-precision GEMM — the compute core under MatMul
-/// and Conv2DGemm (BLIS-style: register micro-tile, L1/L2 cache blocking,
+/// Blocked, packed single-precision GEMM — the compute core under MatMul,
+/// Conv2DGemm and FullyConnectedGemm (BLIS-style: register micro-tile, L1/L2 cache blocking,
 /// panel packing into a reusable scratch arena).
 ///
 /// Register micro-tile: each micro-kernel invocation accumulates a
@@ -46,26 +46,34 @@ void GemmPacked(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 
 /// ---- Implicit-GEMM convolution ----------------------------------------
 ///
-/// Geometry of one convolution group's *implicit* patch matrix: the
-/// (C/g * kernel * kernel) x (H_out * W_out) im2col expansion that the
-/// explicit path materializes, described instead by the mapping
-///   B[r][q] = input[c][oy*stride - pad + ky][ox*stride - pad + kx]
+/// Geometry of one convolution group's *implicit* patch matrix over a
+/// group of images: the (C/g * kernel * kernel) x (images * H_out * W_out)
+/// im2col expansion that the explicit path materializes, described instead
+/// by the mapping
+///   B[r][q] = input[c][i][oy*stride - pad + ky][ox*stride - pad + kx]
 /// with r = (c, ky, kx) row-major over (channel, kernel-y, kernel-x) and
-/// q = (oy, ox) row-major over the output grid; elements whose window
-/// taps land in the zero-padding border are 0. The implicit B-panel packer
+/// q = (i, oy, ox) row-major over (image, output row, output column);
+/// elements whose window taps land in the zero-padding border are 0. The
+/// input is channel-major: channel c of image i is the h x w plane at
+/// input + (c * images + i) * h * w, so one image is plain CHW and the
+/// GEMM's output C (m x images*H_out*W_out) is again channel-major. Each
+/// output column depends only on its own image, so a column's value is
+/// the same whatever the group around it. The implicit B-panel packer
 /// gathers straight from this view while packing KC x NC panels, so the
 /// expansion is never written to memory: the conv's scratch footprint
-/// drops from C/g*k*k * H_out*W_out floats to the two packed panels.
+/// drops from C/g*k*k * columns floats to the two packed panels.
 struct ConvPatchView {
-  /// First channel of this group's input (CHW, contiguous).
+  /// First channel of this conv group's input (channel-major, above).
   const float* input = nullptr;
+  /// Images in the group; the image stride within a channel is h * w.
+  int64_t images = 1;
   /// Input spatial dims.
   int64_t h = 0;
   int64_t w = 0;
   int kernel = 1;
   int stride = 1;
   int pad = 0;
-  /// Output width (columns decompose as q = oy * w_out + ox).
+  /// Output width (columns decompose as q = (i * h_out + oy) * w_out + ox).
   int64_t w_out = 1;
 };
 
@@ -74,19 +82,11 @@ struct ConvPatchView {
 /// expansion and calling GemmPacked on it (the packer gathers the exact
 /// values PackB would copy, in the same panel order, so the accumulation
 /// order is unchanged — only the operand source differs). `n` must be
-/// h_out * w_out and `k` the patch-row count of the view.
+/// images * h_out * w_out and `k` the patch-row count of the view.
 void GemmPackedConv(int64_t m, int64_t n, int64_t k, const float* a,
                     int64_t lda, const ConvPatchView& b, float* c,
                     int64_t ldc, const GemmEpilogue& epilogue,
                     KernelScratch* scratch);
-
-/// GemmPackedConv with row-tile parallelism, mirroring GemmPackedParallel:
-/// the implicit B panel is gathered once per (NC, KC) block by the caller,
-/// M blocks are distributed with ParallelFor, per-thread A panels.
-void GemmPackedConvParallel(int64_t m, int64_t n, int64_t k, const float* a,
-                            int64_t lda, const ConvPatchView& b, float* c,
-                            int64_t ldc, const GemmEpilogue& epilogue,
-                            ThreadPool* pool);
 
 /// GemmPacked with row-tile (M-dimension) parallelism across `pool`: the B
 /// panel is packed once by the caller, then the M blocks are distributed
@@ -158,16 +158,6 @@ void GemmPackedInt8(int64_t m, int64_t n, int64_t k, const int8_t* a,
                     int64_t ldc, const GemmInt8Epilogue& epilogue,
                     KernelScratch* scratch);
 
-/// GemmPackedInt8 with row-tile parallelism across `pool`, mirroring
-/// GemmPackedParallel: B packed once by the caller, M blocks distributed
-/// with ParallelFor, per-thread A panels. Falls back to the serial kernel
-/// when `pool` is null or the problem is too small.
-void GemmPackedInt8Parallel(int64_t m, int64_t n, int64_t k, const int8_t* a,
-                            int64_t lda, const int8_t* b, int64_t ldb,
-                            float* c, int64_t ldc,
-                            const GemmInt8Epilogue& epilogue,
-                            ThreadPool* pool);
-
 /// GemmPackedInt8 with the B operand gathered from `b`'s implicit fp32
 /// patch matrix and quantized *during* panel packing: each gathered value
 /// is quantized exactly as QuantizeSymmetric (round-to-nearest-even of
@@ -181,15 +171,6 @@ void GemmPackedConvInt8(int64_t m, int64_t n, int64_t k, const int8_t* a,
                         float* c, int64_t ldc,
                         const GemmInt8Epilogue& epilogue,
                         KernelScratch* scratch);
-
-/// GemmPackedConvInt8 with row-tile parallelism, mirroring
-/// GemmPackedInt8Parallel.
-void GemmPackedConvInt8Parallel(int64_t m, int64_t n, int64_t k,
-                                const int8_t* a, int64_t lda,
-                                const ConvPatchView& b, float act_scale,
-                                float* c, int64_t ldc,
-                                const GemmInt8Epilogue& epilogue,
-                                ThreadPool* pool);
 
 /// Cumulative int8 multiply-accumulate ops (2*m*n*k per call,
 /// relaxed-atomic) — the int8 twin of GemmFlopsTotal(); see obs gauge

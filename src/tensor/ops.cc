@@ -16,6 +16,18 @@ Status ExpectRank(const Tensor& t, int rank, const char* what) {
   return Status::OK();
 }
 
+/// Feature maps: one CHW image (rank 3) or a channel-major (C, N, H, W)
+/// group of N images (rank 4).
+Status ExpectMaps(const Tensor& t, const char* what) {
+  if (t.shape().rank() != 3 && t.shape().rank() != 4) {
+    return Status::InvalidArgument(std::string(what) +
+                                   ": expected a CHW image or a (C, N, H, W) "
+                                   "group, got shape " +
+                                   t.shape().ToString());
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<Tensor> Conv2D(const Tensor& input, const Tensor& weights,
@@ -100,13 +112,15 @@ enum class PoolKind { kMax, kAvg };
 
 Result<Tensor> Pool2D(const Tensor& input, int window, int stride, int pad,
                       PoolKind kind) {
-  VISTA_RETURN_IF_ERROR(ExpectRank(input, 3, "Pool2D input"));
+  VISTA_RETURN_IF_ERROR(ExpectMaps(input, "Pool2D input"));
   if (window < 1 || stride < 1 || pad < 0) {
     return Status::InvalidArgument("Pool2D: bad window/stride/pad");
   }
-  const int64_t c = input.shape().dim(0);
-  const int64_t h = input.shape().dim(1);
-  const int64_t w = input.shape().dim(2);
+  // Every leading (channel, image) pair is one independent h x w plane.
+  const int rank = input.shape().rank();
+  const int64_t h = input.shape().dim(rank - 2);
+  const int64_t w = input.shape().dim(rank - 1);
+  const int64_t c = input.num_elements() / (h * w);
   if (window > h + 2 * pad || window > w + 2 * pad) {
     return Status::InvalidArgument("Pool2D: window larger than padded input");
   }
@@ -115,7 +129,10 @@ Result<Tensor> Pool2D(const Tensor& input, int window, int stride, int pad,
   if (h_out <= 0 || w_out <= 0) {
     return Status::InvalidArgument("Pool2D: output would be empty");
   }
-  Tensor out(Shape{c, h_out, w_out});
+  std::vector<int64_t> dims = input.shape().dims();
+  dims[rank - 2] = h_out;
+  dims[rank - 1] = w_out;
+  Tensor out{Shape(std::move(dims))};
   float* o = out.mutable_data();
   const float* in = input.data();
   for (int64_t ch = 0; ch < c; ++ch) {
@@ -165,10 +182,12 @@ Result<Tensor> AvgPool2D(const Tensor& input, int window, int stride,
 }
 
 Result<Tensor> GlobalAvgPool(const Tensor& input) {
-  VISTA_RETURN_IF_ERROR(ExpectRank(input, 3, "GlobalAvgPool input"));
-  const int64_t c = input.shape().dim(0);
-  const int64_t hw = input.shape().dim(1) * input.shape().dim(2);
-  Tensor out(Shape{c});
+  VISTA_RETURN_IF_ERROR(ExpectMaps(input, "GlobalAvgPool input"));
+  const int rank = input.shape().rank();
+  const int64_t hw = input.shape().dim(rank - 2) * input.shape().dim(rank - 1);
+  const int64_t c = input.num_elements() / hw;
+  Tensor out(rank == 4 ? Shape{input.shape().dim(0), input.shape().dim(1)}
+                       : Shape{c});
   const float* in = input.data();
   float* o = out.mutable_data();
   for (int64_t ch = 0; ch < c; ++ch) {
@@ -179,8 +198,8 @@ Result<Tensor> GlobalAvgPool(const Tensor& input) {
   return out;
 }
 
-Tensor Relu(const Tensor& input) {
-  Tensor out = input.Clone();
+Tensor Relu(Tensor input) {
+  Tensor out = std::move(input).Unshared();
   float* o = out.mutable_data();
   const int64_t n = out.num_elements();
   for (int64_t i = 0; i < n; ++i) o[i] = std::max(0.0f, o[i]);
@@ -215,15 +234,16 @@ Result<Tensor> FullyConnected(const Tensor& input, const Tensor& weights,
   return out;
 }
 
-Result<Tensor> BatchNormInference(const Tensor& input, const Tensor& scale,
+Result<Tensor> BatchNormInference(Tensor input, const Tensor& scale,
                                   const Tensor& shift) {
-  VISTA_RETURN_IF_ERROR(ExpectRank(input, 3, "BatchNorm input"));
+  VISTA_RETURN_IF_ERROR(ExpectMaps(input, "BatchNorm input"));
   const int64_t c = input.shape().dim(0);
   if (scale.num_elements() != c || shift.num_elements() != c) {
     return Status::InvalidArgument("BatchNorm: scale/shift length mismatch");
   }
-  const int64_t hw = input.shape().dim(1) * input.shape().dim(2);
-  Tensor out = input.Clone();
+  // Channel-major: a channel's values are contiguous for a group too.
+  const int64_t hw = input.num_elements() / c;
+  Tensor out = std::move(input).Unshared();
   float* o = out.mutable_data();
   const float* sc = scale.data();
   const float* sh = shift.data();
@@ -235,13 +255,13 @@ Result<Tensor> BatchNormInference(const Tensor& input, const Tensor& scale,
   return out;
 }
 
-Result<Tensor> Add(const Tensor& a, const Tensor& b) {
+Result<Tensor> Add(Tensor a, const Tensor& b) {
   if (a.shape() != b.shape()) {
     return Status::InvalidArgument("Add: shape mismatch " +
                                    a.shape().ToString() + " vs " +
                                    b.shape().ToString());
   }
-  Tensor out = a.Clone();
+  Tensor out = std::move(a).Unshared();
   float* o = out.mutable_data();
   const float* bb = b.data();
   const int64_t n = out.num_elements();
@@ -250,28 +270,36 @@ Result<Tensor> Add(const Tensor& a, const Tensor& b) {
 }
 
 Result<Tensor> Softmax(const Tensor& input) {
-  VISTA_RETURN_IF_ERROR(ExpectRank(input, 1, "Softmax input"));
-  Tensor out = input.Clone();
-  float* o = out.mutable_data();
-  const int64_t n = out.num_elements();
-  float max_v = -std::numeric_limits<float>::infinity();
-  for (int64_t i = 0; i < n; ++i) max_v = std::max(max_v, o[i]);
-  double sum = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    o[i] = std::exp(o[i] - max_v);
-    sum += o[i];
+  const int rank = input.shape().rank();
+  if (rank != 1 && rank != 2) {
+    return Status::InvalidArgument(
+        "Softmax input: expected a vector or a (D, N) group, got shape " +
+        input.shape().ToString());
   }
-  for (int64_t i = 0; i < n; ++i) {
-    o[i] = static_cast<float>(o[i] / sum);
+  Tensor out = input.Clone();
+  const int64_t n = input.shape().dim(0);
+  const int64_t cols = rank == 2 ? input.shape().dim(1) : 1;
+  for (int64_t j = 0; j < cols; ++j) {
+    float* o = out.mutable_data() + j;  // Vector j, stride cols.
+    float max_v = -std::numeric_limits<float>::infinity();
+    for (int64_t i = 0; i < n; ++i) max_v = std::max(max_v, o[i * cols]);
+    double sum = 0.0;
+    for (int64_t i = 0; i < n; ++i) {
+      o[i * cols] = std::exp(o[i * cols] - max_v);
+      sum += o[i * cols];
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      o[i * cols] = static_cast<float>(o[i * cols] / sum);
+    }
   }
   return out;
 }
 
 Result<Tensor> LocalResponseNorm(const Tensor& input, int depth_radius,
                                  float bias, float alpha, float beta) {
-  VISTA_RETURN_IF_ERROR(ExpectRank(input, 3, "LRN input"));
+  VISTA_RETURN_IF_ERROR(ExpectMaps(input, "LRN input"));
   const int64_t c = input.shape().dim(0);
-  const int64_t hw = input.shape().dim(1) * input.shape().dim(2);
+  const int64_t hw = input.num_elements() / c;
   Tensor out(input.shape());
   const float* in = input.data();
   float* o = out.mutable_data();

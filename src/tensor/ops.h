@@ -11,6 +11,10 @@ namespace vista {
 /// Neural-network kernels operating on single-record tensors (CHW images or
 /// rank-1 vectors). These are the TensorOps of Definition 3.3: each takes a
 /// tensor of a fixed expected shape and produces a tensor of a fixed shape.
+/// The pooling, normalization and softmax ops also take a channel-major
+/// group of N records — (C, N, H, W) maps or (D, N) vectors, the layout
+/// batched inference runs on (tensor/gemm.h) — and treat each record
+/// exactly as they treat a single one.
 ///
 /// All kernels are pure reference implementations: straightforward loops,
 /// verified by tests against hand-computed results. They are fast enough for
@@ -36,25 +40,32 @@ Result<Tensor> MaxPool2D(const Tensor& input, int window, int stride,
 Result<Tensor> AvgPool2D(const Tensor& input, int window, int stride,
                          int pad = 0);
 
-/// Global average pooling: reduces C x H x W to a length-C vector.
+/// Global average pooling: reduces C x H x W to a length-C vector (a
+/// (C, N, H, W) group to (C, N)).
 Result<Tensor> GlobalAvgPool(const Tensor& input);
 
-/// Element-wise max(0, x).
-Tensor Relu(const Tensor& input);
+/// Element-wise max(0, x). Like BatchNormInference and Add, writes over
+/// the input's buffer when the caller hands over its only reference
+/// (Tensor::Unshared), and copies otherwise.
+Tensor Relu(Tensor input);
 
-/// Fully connected layer: y = W x + b with W of shape (out, in), x rank-1.
+/// Fully connected layer: y = W x + b with W of shape (out, in), x rank-1,
+/// accumulated in double. The test oracle for tensor/gemm.h's
+/// FullyConnectedGemm, which is what inference runs; src/ no longer calls
+/// this loop.
 Result<Tensor> FullyConnected(const Tensor& input, const Tensor& weights,
                               const Tensor& bias);
 
 /// Inference-mode batch normalization over channels of a CHW input:
 /// y_c = scale_c * x_c + shift_c (scale/shift fold mean/variance).
-Result<Tensor> BatchNormInference(const Tensor& input, const Tensor& scale,
+Result<Tensor> BatchNormInference(Tensor input, const Tensor& scale,
                                   const Tensor& shift);
 
 /// Element-wise addition; shapes must match (residual connections).
-Result<Tensor> Add(const Tensor& a, const Tensor& b);
+Result<Tensor> Add(Tensor a, const Tensor& b);
 
-/// Numerically stable softmax over a rank-1 tensor.
+/// Numerically stable softmax over a rank-1 tensor (over each column of a
+/// (D, N) group).
 Result<Tensor> Softmax(const Tensor& input);
 
 /// AlexNet-style local response normalization across channels.

@@ -79,10 +79,28 @@ class Tensor {
     return Tensor(shape_, std::vector<float>(*data_));
   }
 
+  /// These values in a buffer no other tensor shares: this tensor's own
+  /// buffer when it is its only owner, a copy otherwise. An op that takes
+  /// its input by value writes its result over it this way, so a caller
+  /// that hands over its only reference (std::move) saves a copy.
+  Tensor Unshared() && {
+    if (data_.use_count() == 1) return std::move(*this);
+    return Clone();
+  }
+
   /// Returns a rank-1 view-copy of this tensor's values (FlattenOp,
   /// Definition 3.5).
   Tensor Flatten() const {
     return Tensor(Shape{num_elements()}, std::vector<float>(*data_));
+  }
+
+  /// The same values under `shape`, which must have the same element
+  /// count. Shares the buffer like a copy does (no values are moved).
+  Tensor Reshape(Shape shape) const {
+    VISTA_CHECK_EQ(shape.num_elements(), num_elements());
+    Tensor t = *this;
+    t.shape_ = std::move(shape);
+    return t;
   }
 
   /// True if both tensors have the same shape and element-wise equal values

@@ -12,10 +12,11 @@ int64_t RoundUpTo(int64_t x, int64_t multiple) {
   return (x + multiple - 1) / multiple * multiple;
 }
 
-/// Packed-panel scratch bytes for one conv group lowered to GEMM with
-/// m = out_channels/groups, n = h_out*w_out, k = c/groups * kernel^2 —
-/// mirroring the Acquire sizes of gemm_kernel.cc's panel drivers (the
-/// panels are shared across groups, so one group's figure is the conv's).
+/// Packed-panel scratch bytes for one GEMM with m = out_channels/groups,
+/// n = its columns (images * h_out*w_out for a conv group, images for an
+/// FC) and k = c/groups * kernel^2 (in_dim for an FC) — mirroring the
+/// Acquire sizes of gemm_kernel.cc's panel drivers (the panels are shared
+/// across conv groups, so one group's figure is the conv's).
 int64_t ImplicitPanelBytes(int64_t m, int64_t n, int64_t k, bool int8) {
   if (int8) {
     const int64_t kc4 = RoundUpTo(std::min(k, kGemmKcInt8), 4);
@@ -31,34 +32,41 @@ int64_t ImplicitPanelBytes(int64_t m, int64_t n, int64_t k, bool int8) {
   return pack_b + pack_a;
 }
 
-/// Scratch bytes for one convolution over a (c, h, w) input. `materialized`
-/// adds the legacy explicit-path buffers: the fp32 im2col expansion
-/// (Slot::kIm2Col) and, for int8, the quantized staging copy
+/// Scratch bytes for one convolution over `images` (c, h, w) inputs.
+/// `materialized` adds the legacy explicit-path buffers: the fp32 im2col
+/// expansion (Slot::kIm2Col) and, for int8, the quantized staging copy
 /// (Slot::kQuantAct).
 int64_t SingleConvTemp(int64_t c, int64_t h, int64_t w, int kernel,
                        int stride, int pad, int groups, int64_t oc,
-                       bool int8, bool materialized) {
+                       int64_t images, bool int8, bool materialized) {
   if (groups < 1) groups = 1;
   if (kernel < 1 || stride < 1 || c <= 0 || oc <= 0) return 0;
   const int64_t rows = (c / groups) * kernel * kernel;
   const int64_t h_out = (h + 2 * pad - kernel) / stride + 1;
   const int64_t w_out = (w + 2 * pad - kernel) / stride + 1;
   if (h_out <= 0 || w_out <= 0) return 0;
-  const int64_t spatial = h_out * w_out;
-  int64_t bytes = ImplicitPanelBytes(oc / groups, spatial, rows, int8);
+  const int64_t cols = images * h_out * w_out;
+  int64_t bytes = ImplicitPanelBytes(oc / groups, cols, rows, int8);
   if (int8) bytes += oc * 4;  // Combined dequant scales (Slot::kScales).
   if (materialized) {
-    bytes += groups * rows * spatial * 4;
-    if (int8) bytes += RoundUpTo(groups * rows * spatial, 4);
+    bytes += groups * rows * cols * 4;
+    if (int8) bytes += RoundUpTo(groups * rows * cols, 4);
   }
   return bytes;
 }
 
-/// Max conv scratch across the convs a single op runs. Bottleneck-internal
-/// convs stay fp32 at any workload precision (ApplyPrimitive quantizes
-/// only standalone conv/fc primitives).
-int64_t OpConvTempBytes(const dl::OpSpec& op, const Shape& in, bool int8,
-                        bool materialized) {
+/// Max GEMM scratch across the convs or FC a single op runs over `images`
+/// inputs. Bottleneck-internal convs stay fp32 at any workload precision
+/// (ApplyPrimitive quantizes only standalone conv/fc primitives).
+int64_t OpConvTempBytes(const dl::OpSpec& op, const Shape& in,
+                        int64_t images, bool int8, bool materialized) {
+  if (op.kind == dl::OpKind::kFc) {
+    const int64_t in_dim = in.num_elements();
+    int64_t bytes = ImplicitPanelBytes(op.out_channels, images, in_dim, int8);
+    // Quantized activations (Slot::kQuantAct) and scales (Slot::kScales).
+    if (int8) bytes += RoundUpTo(in_dim * images, 4) + op.out_channels * 4;
+    return bytes;
+  }
   if (in.rank() != 3) return 0;
   const int64_t c = in.dim(0);
   const int64_t h = in.dim(1);
@@ -66,22 +74,24 @@ int64_t OpConvTempBytes(const dl::OpSpec& op, const Shape& in, bool int8,
   switch (op.kind) {
     case dl::OpKind::kConv:
       return SingleConvTemp(c, h, w, op.kernel, op.stride, op.pad,
-                            std::max(1, op.groups), op.out_channels, int8,
-                            materialized);
+                            std::max(1, op.groups), op.out_channels, images,
+                            int8, materialized);
     case dl::OpKind::kBottleneck: {
       const int64_t mid = op.mid_channels;
       const int64_t out = op.out_channels;
       const int64_t h1 = (h - 1) / op.stride + 1;
       const int64_t w1 = (w - 1) / op.stride + 1;
-      int64_t peak = SingleConvTemp(c, h, w, 1, op.stride, 0, 1, mid,
+      int64_t peak = SingleConvTemp(c, h, w, 1, op.stride, 0, 1, mid, images,
                                     /*int8=*/false, materialized);
       peak = std::max(peak, SingleConvTemp(mid, h1, w1, 3, 1, 1, 1, mid,
-                                           /*int8=*/false, materialized));
+                                           images, /*int8=*/false,
+                                           materialized));
       peak = std::max(peak, SingleConvTemp(mid, h1, w1, 1, 1, 0, 1, out,
-                                           /*int8=*/false, materialized));
+                                           images, /*int8=*/false,
+                                           materialized));
       if (op.project) {
         peak = std::max(peak, SingleConvTemp(c, h, w, 1, op.stride, 0, 1,
-                                             out, /*int8=*/false,
+                                             out, images, /*int8=*/false,
                                              materialized));
       }
       return peak;
@@ -97,9 +107,11 @@ int64_t LayerConvTemp(const dl::CnnArchitecture& arch, int layer_index,
   Shape in = layer_index == 0 ? arch.input_shape()
                               : arch.layer(layer_index - 1).output_shape;
   const bool int8 = precision == dl::Precision::kInt8;
+  const int64_t images = arch.layer(layer_index).group_images;
   int64_t peak = 0;
   for (const dl::OpSpec& op : arch.layer_spec(layer_index).ops) {
-    peak = std::max(peak, OpConvTempBytes(op, in, int8, materialized));
+    peak = std::max(peak,
+                    OpConvTempBytes(op, in, images, int8, materialized));
     auto stat = dl::AnalyzeOp(op, in);
     if (!stat.ok()) break;  // Built architectures never hit this.
     in = stat->output_shape;

@@ -51,7 +51,8 @@ struct SizeEstimates {
   /// Eq. 16 Temp term: per-thread kernel-scratch high-water across every
   /// logical layer the staged inference runs (0 .. max(L)) at the
   /// workload's precision — the packed GEMM panels of the implicit-GEMM
-  /// conv path. Multiply by the thread count for a per-node figure.
+  /// conv and packed FC paths at each layer's group size. Multiply by the
+  /// thread count for a per-node figure.
   int64_t conv_temp_bytes = 0;
   /// The same walk under the legacy materialized-im2col conv path (full
   /// patch-matrix expansion + panels, plus the int8 staging copy). Kept
@@ -78,12 +79,14 @@ Result<SizeEstimates> EstimateSizes(const RosterEntry& entry,
 int64_t LayerFeatureBytes(const dl::CnnArchitecture& arch, int layer_index,
                           dl::Precision precision = dl::Precision::kFp32);
 
-/// Per-thread scratch (Temp-region) bytes the implicit-GEMM conv kernels
-/// need to run logical layer `layer_index`: the maximum over the layer's
-/// conv ops (including bottleneck-internal convs, which stay fp32 at any
-/// workload precision) of the packed A + packed B panel footprint, sized
-/// exactly as gemm_kernel.cc's drivers acquire them. Non-conv layers
-/// return 0.
+/// Per-thread scratch (Temp-region) bytes the packed-GEMM kernels need to
+/// run logical layer `layer_index` over one group of its
+/// LayerStat::group_images images (batch-major inference): the maximum
+/// over the layer's conv and FC ops (including bottleneck-internal convs,
+/// which stay fp32 at any workload precision) of the packed A + packed B
+/// panel footprint for that many columns, plus the int8 scales and
+/// quantized FC activations, sized exactly as gemm.cc and gemm_kernel.cc
+/// acquire them. Layers without a conv or FC return 0.
 int64_t ConvTempBytes(const dl::CnnArchitecture& arch, int layer_index,
                       dl::Precision precision = dl::Precision::kFp32);
 

@@ -64,11 +64,6 @@ Status RealExecutorConfig::Validate() const {
       fmt_raw > static_cast<int>(df::PersistenceFormat::kSerialized)) {
     return Status::InvalidArgument("persistence format out of range");
   }
-  const int par_raw = static_cast<int>(inference_parallelism);
-  if (par_raw < static_cast<int>(dl::CnnParallelism::kInterImage) ||
-      par_raw > static_cast<int>(dl::CnnParallelism::kIntraImage)) {
-    return Status::InvalidArgument("inference_parallelism out of range");
-  }
   const int prec_raw = static_cast<int>(precision);
   if (prec_raw < static_cast<int>(dl::Precision::kFp32) ||
       prec_raw > static_cast<int>(dl::Precision::kInt8)) {
@@ -194,12 +189,11 @@ Result<df::Table> RealExecutor::RunInference(const PlanStep& step,
   *flops += per_record_flops * input.num_records();
 
   // Inference threading: the engine already runs partitions in parallel;
-  // within a partition the pool is spent per the config knob (one task per
-  // image, or parallel GEMM row tiles inside each image). ParallelFor is
-  // caller-inclusive, so this nesting cannot deadlock.
+  // within a partition RunRangeBatch hands the pool one task per group of
+  // images (batch-major inference, DESIGN.md "Kernel layer").
+  // ParallelFor is caller-inclusive, so this nesting cannot deadlock.
   dl::CnnOptions opts;
   opts.pool = engine_->pool();
-  opts.parallelism = config.inference_parallelism;
   opts.precision = config.precision;
 
   df::MemoryManager& memory = engine_->memory();

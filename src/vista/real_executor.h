@@ -35,13 +35,6 @@ struct RealExecutorConfig {
   ml::DecisionTreeConfig tree;
   /// Driver collect budget (-1 = unlimited).
   int64_t driver_memory_bytes = -1;
-  /// How inference spends the engine's threads *within* one partition, on
-  /// top of the engine's partition-level parallelism: one pool task per
-  /// image (kInterImage, the throughput default) or pool-parallel GEMM row
-  /// tiles inside each image (kIntraImage, better for tiny batches with
-  /// huge layers). Interacts with the optimizer's cpu knob — see
-  /// DESIGN.md, "Kernel layer".
-  dl::CnnParallelism inference_parallelism = dl::CnnParallelism::kInterImage;
   /// Inference precision for every kInference step this executor runs.
   /// kInt8 routes conv/fc primitives through the quantized GEMM kernel and
   /// materializes features that are exactly 1/4 the fp32 bytes; it requires

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "common/thread_pool.h"
 #include "dl/cnn.h"
+#include "dl/model_zoo.h"
 #include "dl/op_spec.h"
 #include "tensor/ops.h"
 
@@ -267,46 +275,191 @@ TEST(TransferFeaturizeTest, VectorOutputsPassThrough) {
   EXPECT_EQ(g->shape(), (Shape{10}));
 }
 
-// Both parallelism modes run the same arithmetic per image as a serial
-// RunRange (inter-image tasks run serial kernels; intra-image row-tile
-// splits pack identically per block), so batched results are bit-identical
-// to the one-image-at-a-time path.
-TEST(CnnModelTest, RunRangeBatchMatchesSerialBothModes) {
+/// Byte equality of two positionally aligned output lists.
+void ExpectSameBytes(const std::vector<Tensor>& want,
+                     const std::vector<Tensor>& got,
+                     const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i].shape(), got[i].shape()) << what << " image " << i;
+    ASSERT_EQ(0, std::memcmp(want[i].data(), got[i].data(),
+                             static_cast<size_t>(want[i].num_bytes())))
+        << what << " image " << i;
+  }
+}
+
+// One threading mode: RunRangeBatch hands the pool one task per group of
+// images, and every output equals the one-image RunRange of its input bit
+// for bit, with no pool or a pool of any size. 130 images make three
+// groups of TinyArch's FC suffix (64, 64 and a ragged 2).
+TEST(CnnModelTest, RunRangeBatchMatchesOneImageRunsAtEveryPoolSize) {
   auto arch = TinyArch();
   ASSERT_TRUE(arch.ok());
+  EXPECT_EQ(arch->layer(1).group_images, 1);   // conv2: 8x8 outputs.
+  EXPECT_EQ(arch->layer(2).group_images, 64);  // fc1.
   auto model = CnnModel::Instantiate(*arch, 21);
   ASSERT_TRUE(model.ok());
   Rng rng(9);
   std::vector<Tensor> images;
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < 130; ++i) {
     images.push_back(Tensor::RandomGaussian(Shape{3, 16, 16}, &rng));
   }
+  const int last = arch->num_layers() - 1;
   std::vector<Tensor> expected;
   for (const Tensor& img : images) {
-    auto out = model->RunRange(img, 0, arch->num_layers() - 1);
+    auto out = model->RunRange(img, 0, last);
     ASSERT_TRUE(out.ok());
     expected.push_back(std::move(out).value());
   }
-
-  ThreadPool pool(4);
-  for (CnnParallelism mode :
-       {CnnParallelism::kInterImage, CnnParallelism::kIntraImage}) {
+  for (int threads : {0, 1, 2, 4}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
     CnnOptions opts;
-    opts.pool = &pool;
-    opts.parallelism = mode;
-    auto batch =
-        model->RunRangeBatch(images, 0, arch->num_layers() - 1, opts);
-    ASSERT_TRUE(batch.ok());
-    ASSERT_EQ(batch->size(), images.size());
-    for (size_t i = 0; i < images.size(); ++i) {
-      ASSERT_EQ(expected[i].shape(), (*batch)[i].shape());
-      for (int64_t j = 0; j < expected[i].num_elements(); ++j) {
-        ASSERT_EQ(expected[i].at(j), (*batch)[i].at(j))
-            << "mode=" << static_cast<int>(mode) << " image " << i
-            << " elem " << j;
+    opts.pool = pool.get();
+    auto batch = model->RunRangeBatch(images, 0, last, opts);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ExpectSameBytes(expected, *batch,
+                    "pool of " + std::to_string(threads) + " threads");
+  }
+}
+
+TEST(CnnModelTest, NarrowLayersGroupToFillFourMicroTileStrips) {
+  auto resnet = MicroResNet50Arch();
+  auto alexnet = MicroAlexNetArch();
+  ASSERT_TRUE(resnet.ok());
+  ASSERT_TRUE(alexnet.ok());
+  // conv4_x outputs 4x4 = 16 pixels per image and already fills a strip;
+  // conv5_x outputs 2x2, so 16 images make 64 columns; an FC's one column
+  // per image makes 64 images.
+  for (const char* wide : {"conv1", "conv4_1", "conv4_6"}) {
+    EXPECT_EQ(resnet->layer(*resnet->FindLayer(wide)).group_images, 1)
+        << wide;
+  }
+  for (const char* conv5 : {"conv5_1", "conv5_2", "conv5_3"}) {
+    EXPECT_EQ(resnet->layer(*resnet->FindLayer(conv5)).group_images, 16)
+        << conv5;
+  }
+  EXPECT_EQ(resnet->layer(*resnet->FindLayer("fc6")).group_images, 64);
+  // AlexNet conv5 convolves at 7x7 before its pool: wide.
+  for (int l = 0; l < alexnet->num_layers(); ++l) {
+    EXPECT_EQ(alexnet->layer(l).group_images,
+              alexnet->layer(l).convolutional ? 1 : 64)
+        << alexnet->layer(l).name;
+  }
+}
+
+// Batch-major inference is exact. For every micro model and precision,
+// image counts that make a group of one, a ragged group, exactly one
+// group, one image over and several groups, with and without a pool,
+// RunRangeBatch over every single-layer range and every Staged hop of the
+// top four layers equals one-image RunRange byte for byte.
+class BatchMajorPropertyTest
+    : public ::testing::TestWithParam<std::tuple<KnownCnn, Precision>> {};
+
+TEST_P(BatchMajorPropertyTest, GroupedRangesMatchOneImageRuns) {
+  const auto [cnn, precision] = GetParam();
+  auto arch = BuildMicroArch(cnn);
+  ASSERT_TRUE(arch.ok());
+  auto model = CnnModel::Instantiate(*arch, 17);
+  ASSERT_TRUE(model.ok());
+  Rng rng(31);
+  std::vector<Tensor> images;
+  for (int i = 0; i < 65; ++i) {
+    images.push_back(Tensor::RandomGaussian(arch->input_shape(), &rng));
+  }
+  if (precision == Precision::kInt8) {
+    ASSERT_TRUE(model
+                    ->CalibrateInt8(std::vector<Tensor>(images.begin(),
+                                                        images.begin() + 8))
+                    .ok());
+  }
+  CnnOptions one;
+  one.precision = precision;
+  // acts[l]: the inputs of layer l, computed one image at a time.
+  std::vector<std::vector<Tensor>> acts(arch->num_layers() + 1);
+  acts[0] = images;
+  for (int l = 0; l < arch->num_layers(); ++l) {
+    for (const Tensor& x : acts[l]) {
+      auto y = model->RunRange(x, l, l, one);
+      ASSERT_TRUE(y.ok()) << y.status().ToString();
+      acts[l + 1].push_back(std::move(y).value());
+    }
+  }
+  std::vector<std::pair<int, int>> ranges;
+  for (int l = 0; l < arch->num_layers(); ++l) ranges.push_back({l, l});
+  auto top = arch->TopLayers(4);
+  ASSERT_TRUE(top.ok());
+  int prev = -1;
+  for (int t : *top) {
+    if (t > prev + 1) ranges.push_back({prev + 1, t});
+    prev = t;
+  }
+  ThreadPool pool(4);
+  for (const auto& [from, to] : ranges) {
+    std::vector<Tensor> want;
+    for (const Tensor& x : acts[from]) {
+      auto y = model->RunRange(x, from, to, one);
+      ASSERT_TRUE(y.ok());
+      want.push_back(std::move(y).value());
+    }
+    for (int n : {1, 15, 16, 17, 65}) {
+      const std::vector<Tensor> inputs(acts[from].begin(),
+                                       acts[from].begin() + n);
+      const std::vector<Tensor> expected(want.begin(), want.begin() + n);
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        CnnOptions opts = one;
+        opts.pool = p;
+        auto got = model->RunRangeBatch(inputs, from, to, opts);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ExpectSameBytes(expected, *got,
+                        arch->name() + " [" + std::to_string(from) + ", " +
+                            std::to_string(to) + "] x" + std::to_string(n) +
+                            (p != nullptr ? " pooled" : " serial"));
       }
     }
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MicroModels, BatchMajorPropertyTest,
+    ::testing::Combine(::testing::Values(KnownCnn::kAlexNet, KnownCnn::kVgg16,
+                                         KnownCnn::kResNet50),
+                       ::testing::Values(Precision::kFp32,
+                                         Precision::kInt8)));
+
+// Profiling counts every image once, grouped or not: after a pooled run
+// each dl.flops counter holds images x the layer's FLOPs, and each int8
+// counter images x the layer's quantized ops.
+TEST(CnnModelTest, GroupedRunCountsFlopsPerImage) {
+  auto arch = MicroResNet50Arch();
+  ASSERT_TRUE(arch.ok());
+  auto model = CnnModel::Instantiate(*arch, 25);
+  ASSERT_TRUE(model.ok());
+  Rng rng(14);
+  std::vector<Tensor> images;
+  for (int i = 0; i < 17; ++i) {
+    images.push_back(Tensor::RandomGaussian(arch->input_shape(), &rng));
+  }
+  ASSERT_TRUE(model->CalibrateInt8(images).ok());
+  obs::Registry registry;
+  model->EnableProfiling(&registry);
+  ThreadPool pool(4);
+  CnnOptions opts;
+  opts.pool = &pool;
+  const int last = arch->num_layers() - 1;
+  ASSERT_TRUE(model->RunRangeBatch(images, 0, last, opts).ok());
+  opts.precision = Precision::kInt8;
+  ASSERT_TRUE(model->RunRangeBatch(images, 0, last, opts).ok());
+  for (int l = 0; l <= last; ++l) {
+    const std::string suffix = arch->name() + "." + arch->layer(l).name;
+    EXPECT_EQ(registry.counter("dl.flops." + suffix)->value(),
+              2 * 17 * arch->layer(l).flops)
+        << suffix;
+    EXPECT_EQ(registry.counter("dl.int8_ops." + suffix)->value(),
+              17 * model->layer_int8_ops(l))
+        << suffix;
+  }
+  model->EnableProfiling(nullptr);
 }
 
 TEST(CnnModelTest, RunRangeBatchWithoutPoolIsSerial) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -277,6 +278,58 @@ TEST(KernelScratchTest, GrowsGeometricallyAndAligns) {
   float* p2 = scratch.Acquire(KernelScratch::Slot::kPackA, 5000);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(p2) % 64, 0u);
   EXPECT_EQ(scratch.allocations(), 2);
+}
+
+// The packed FC (one GEMM over a group's columns, fp32 accumulation)
+// against the double-accumulating FullyConnected loop it replaced, on odd
+// shapes: in_dim 1 and 257 (one K panel and a 1-row tail panel), out_dim
+// off the 6-row micro-tile, and batches of 1, 17 and 64 columns. Each
+// column must also be bit-identical to the same vector run alone.
+class FullyConnectedGemmTest
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(FullyConnectedGemmTest, MatchesScalarOracleAndOneVectorRuns) {
+  const auto [in_dim, out_dim, batch] = GetParam();
+  Rng rng(in_dim * 7 + out_dim * 3 + batch);
+  Tensor w = Tensor::RandomGaussian(Shape{out_dim, in_dim}, &rng);
+  Tensor bias = Tensor::RandomGaussian(Shape{out_dim}, &rng);
+  Tensor x = Tensor::RandomGaussian(Shape{in_dim, batch}, &rng);
+  for (const bool relu : {false, true}) {
+    auto got = FullyConnectedGemm(x, w, bias, relu);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->shape(), (Shape{out_dim, batch}));
+    for (int j = 0; j < batch; ++j) {
+      Tensor col(Shape{in_dim});
+      for (int i = 0; i < in_dim; ++i) col.set(i, x.at(i * batch + j));
+      auto ref = FullyConnected(col, w, bias);
+      ASSERT_TRUE(ref.ok());
+      Tensor want = relu ? Relu(*ref) : *ref;
+      auto alone = FullyConnectedGemm(col, w, bias, relu);
+      ASSERT_TRUE(alone.ok());
+      Tensor column(Shape{out_dim});
+      for (int r = 0; r < out_dim; ++r) {
+        column.set(r, got->at(r * batch + j));
+        ASSERT_EQ(got->at(r * batch + j), alone->at(r))
+            << "column " << j << " row " << r;
+      }
+      ExpectGemmClose(want, column, in_dim);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OddShapes, FullyConnectedGemmTest,
+    ::testing::Combine(::testing::Values(1, 257),
+                       ::testing::Values(5, 13, 97),
+                       ::testing::Values(1, 17, 64)));
+
+TEST(FullyConnectedGemmTest, RejectsBadShapes) {
+  Tensor w(Shape{4, 8});
+  Tensor b(Shape{4});
+  EXPECT_FALSE(FullyConnectedGemm(Tensor(Shape{7, 2}), w, b, false).ok());
+  EXPECT_FALSE(FullyConnectedGemm(Tensor(Shape{8, 2, 1}), w, b, false).ok());
+  EXPECT_FALSE(
+      FullyConnectedGemm(Tensor(Shape{8}), w, Tensor(Shape{3}), false).ok());
 }
 
 TEST(Conv2DGemmTest, RejectsBadConfigs) {

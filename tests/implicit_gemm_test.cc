@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "dl/model_zoo.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_kernel.h"
@@ -45,21 +46,14 @@ TEST_P(ImplicitConvDifferentialTest, BitIdenticalToExplicitIm2Col) {
   Tensor w = Tensor::RandomGaussian(
       Shape{c.filters, c.channels / c.groups, c.kernel, c.kernel}, &rng);
   Tensor b = Tensor::RandomGaussian(Shape{c.filters}, &rng);
-  ThreadPool pool(3);
   for (const bool relu : {false, true}) {
     auto ex = Conv2DGemmEx(input, w, b, c.stride, c.pad, c.groups, relu,
                            nullptr);
     auto im = Conv2DGemmImplicit(input, w, b, c.stride, c.pad, c.groups,
-                                 relu, nullptr);
+                                 relu);
     ASSERT_TRUE(ex.ok()) << ex.status().ToString();
     ASSERT_TRUE(im.ok()) << im.status().ToString();
     ExpectBitIdentical(*ex, *im);
-    // The parallel path packs the same B panels; only the M-tile schedule
-    // differs, which touches disjoint output rows.
-    auto im_pool = Conv2DGemmImplicit(input, w, b, c.stride, c.pad,
-                                      c.groups, relu, &pool);
-    ASSERT_TRUE(im_pool.ok());
-    ExpectBitIdentical(*ex, *im_pool);
   }
 }
 
@@ -72,7 +66,7 @@ TEST_P(ImplicitConvDifferentialTest, MatchesDirectReference) {
   Tensor b = Tensor::RandomGaussian(Shape{c.filters}, &rng);
   auto direct = Conv2D(input, w, b, c.stride, c.pad, c.groups);
   auto im = Conv2DGemmImplicit(input, w, b, c.stride, c.pad, c.groups,
-                               /*relu=*/false, nullptr);
+                               /*relu=*/false);
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(im.ok());
   EXPECT_EQ(direct->shape(), im->shape());
@@ -99,7 +93,7 @@ TEST(ImplicitConvFastPathTest, OneByOneMatchesExplicitAndDirect) {
   Tensor w = Tensor::RandomGaussian(Shape{48, 32, 1, 1}, &rng);
   Tensor b = Tensor::RandomGaussian(Shape{48}, &rng);
   auto ex = Conv2DGemmEx(input, w, b, 1, 0, 1, /*relu=*/true, nullptr);
-  auto im = Conv2DGemmImplicit(input, w, b, 1, 0, 1, /*relu=*/true, nullptr);
+  auto im = Conv2DGemmImplicit(input, w, b, 1, 0, 1, /*relu=*/true);
   ASSERT_TRUE(ex.ok());
   ASSERT_TRUE(im.ok());
   ExpectBitIdentical(*ex, *im);
@@ -177,7 +171,7 @@ TEST_P(ImplicitConvInt8Test, FullConvMatchesLegacyDetour) {
       SymmetricScale(MaxAbs(input.data(), input.num_elements()));
 
   auto got = Conv2DGemmInt8(input, *qw, b, c.stride, c.pad, c.groups,
-                            /*relu=*/true, act_scale, nullptr);
+                            /*relu=*/true, act_scale);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
 
   auto cols = Im2Col(input, c.kernel, c.stride, c.pad, c.groups);
@@ -217,6 +211,157 @@ INSTANTIATE_TEST_SUITE_P(
         ImplicitConvCase{12, 10, 10, 8, 5, 2, 2, 4},
         ImplicitConvCase{16, 8, 8, 24, 1, 1, 0, 1},
         ImplicitConvCase{9, 7, 5, 6, 3, 2, 0, 3}));
+
+// Batch-major inference: a conv over a channel-major group of G images is
+// one GEMM whose column q = (image, output pixel). A column sums over K in
+// the same KC panels whatever group surrounds it, so each image's slice of
+// the grouped output must equal its one-image call byte for byte — fp32
+// outputs and int8 raw accumulators alike. G = 17 straddles an NR strip
+// and G = 3 or 5 leaves strips ragged.
+class GroupedConvTest
+    : public ::testing::TestWithParam<std::tuple<ImplicitConvCase, int>> {
+ protected:
+  /// The channel-major (C, G, H, W) group of `batch`.
+  static Tensor GroupOf(const std::vector<Tensor>& batch) {
+    const Shape& s = batch[0].shape();
+    const int64_t c = s.dim(0), hw = s.dim(1) * s.dim(2);
+    const int64_t g = static_cast<int64_t>(batch.size());
+    Tensor out(Shape{c, g, s.dim(1), s.dim(2)});
+    for (int64_t i = 0; i < g; ++i) {
+      for (int64_t ch = 0; ch < c; ++ch) {
+        std::memcpy(out.mutable_data() + (ch * g + i) * hw,
+                    batch[static_cast<size_t>(i)].data() + ch * hw,
+                    static_cast<size_t>(hw) * sizeof(float));
+      }
+    }
+    return out;
+  }
+
+  void SetUp() override {
+    std::tie(c_, images_) = GetParam();
+    Rng rng(c_.channels * 613 + c_.h * 11 + c_.stride * 3 + images_);
+    for (int i = 0; i < images_; ++i) {
+      batch_.push_back(
+          Tensor::RandomGaussian(Shape{c_.channels, c_.h, c_.w}, &rng));
+    }
+    group_ = GroupOf(batch_);
+    w_ = Tensor::RandomGaussian(
+        Shape{c_.filters, c_.channels / c_.groups, c_.kernel, c_.kernel},
+        &rng);
+    b_ = Tensor::RandomGaussian(Shape{c_.filters}, &rng);
+    act_scale_ =
+        SymmetricScale(MaxAbs(group_.data(), group_.num_elements()));
+    h_out_ = (c_.h + 2 * c_.pad - c_.kernel) / c_.stride + 1;
+    w_out_ = (c_.w + 2 * c_.pad - c_.kernel) / c_.stride + 1;
+  }
+
+  /// Rows of `grouped` (row stride images * spatial) restricted to image
+  /// i's columns equal the rows of `one` (row stride spatial).
+  void ExpectImageColumns(const float* grouped, const float* one,
+                          int64_t rows, int i, const char* what) {
+    const int64_t spatial = h_out_ * w_out_;
+    for (int64_t r = 0; r < rows; ++r) {
+      ASSERT_EQ(0, std::memcmp(grouped + (r * images_ + i) * spatial,
+                               one + r * spatial,
+                               static_cast<size_t>(spatial) * sizeof(float)))
+          << what << ": image " << i << " of " << images_ << ", row " << r;
+    }
+  }
+
+  ImplicitConvCase c_{};
+  int images_ = 0;
+  std::vector<Tensor> batch_;
+  Tensor group_, w_, b_;
+  float act_scale_ = 0.0f;
+  int64_t h_out_ = 0, w_out_ = 0;
+};
+
+TEST_P(GroupedConvTest, PackedGemmColumnsMatchOneImageCalls) {
+  auto qw = QuantizeWeightsPerChannel(w_);
+  ASSERT_TRUE(qw.ok());
+  const int64_t cpg = c_.channels / c_.groups;
+  const int64_t rows = cpg * c_.kernel * c_.kernel;
+  const int64_t m = c_.filters / c_.groups;
+  const int64_t spatial = h_out_ * w_out_;
+  const int64_t cols = images_ * spatial;
+  std::vector<float> grouped(static_cast<size_t>(m * cols));
+  std::vector<float> grouped_q(grouped.size());
+  std::vector<float> one(static_cast<size_t>(m * spatial));
+  std::vector<float> one_q(one.size());
+  KernelScratch scratch;
+  const GemmInt8Epilogue raw;  // Leaves int32 sums bit-cast in C.
+  for (int64_t gi = 0; gi < c_.groups; ++gi) {
+    ConvPatchView view;
+    view.input = group_.data() + gi * cpg * images_ * c_.h * c_.w;
+    view.images = images_;
+    view.h = c_.h;
+    view.w = c_.w;
+    view.kernel = c_.kernel;
+    view.stride = c_.stride;
+    view.pad = c_.pad;
+    view.w_out = w_out_;
+    const float* a_g = w_.data() + gi * m * rows;
+    const int8_t* a_q = qw->data.data() + gi * m * rows;
+    GemmPackedConv(m, cols, rows, a_g, rows, view, grouped.data(), cols,
+                   GemmEpilogue{}, &scratch);
+    GemmPackedConvInt8(m, cols, rows, a_q, rows, view, act_scale_,
+                       grouped_q.data(), cols, raw, &scratch);
+    for (int i = 0; i < images_; ++i) {
+      ConvPatchView single = view;
+      single.input = batch_[static_cast<size_t>(i)].data() +
+                     gi * cpg * c_.h * c_.w;
+      single.images = 1;
+      GemmPackedConv(m, spatial, rows, a_g, rows, single, one.data(),
+                     spatial, GemmEpilogue{}, &scratch);
+      GemmPackedConvInt8(m, spatial, rows, a_q, rows, single, act_scale_,
+                         one_q.data(), spatial, raw, &scratch);
+      ExpectImageColumns(grouped.data(), one.data(), m, i, "fp32");
+      ExpectImageColumns(grouped_q.data(), one_q.data(), m, i, "int8 raw");
+    }
+  }
+}
+
+// The same through the conv entry points: the 1x1 case takes the in-place
+// path (the group's channel-major input is the B matrix as it lies), and
+// the fused bias/ReLU and int8 dequant epilogues run per column too.
+TEST_P(GroupedConvTest, ConvOutputsMatchOneImageConvs) {
+  auto qw = QuantizeWeightsPerChannel(w_);
+  ASSERT_TRUE(qw.ok());
+  for (const bool relu : {false, true}) {
+    auto got = Conv2DGemmImplicit(group_, w_, b_, c_.stride, c_.pad,
+                                  c_.groups, relu);
+    auto got_q = Conv2DGemmInt8(group_, *qw, b_, c_.stride, c_.pad,
+                                c_.groups, relu, act_scale_);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(got_q.ok()) << got_q.status().ToString();
+    ASSERT_EQ(got->shape(), (Shape{c_.filters, images_, h_out_, w_out_}));
+    for (int i = 0; i < images_; ++i) {
+      const Tensor& image = batch_[static_cast<size_t>(i)];
+      auto one = Conv2DGemmImplicit(image, w_, b_, c_.stride, c_.pad,
+                                    c_.groups, relu);
+      auto one_q = Conv2DGemmInt8(image, *qw, b_, c_.stride, c_.pad,
+                                  c_.groups, relu, act_scale_);
+      ASSERT_TRUE(one.ok());
+      ASSERT_TRUE(one_q.ok());
+      ExpectImageColumns(got->data(), one->data(), c_.filters, i, "fp32");
+      ExpectImageColumns(got_q->data(), one_q->data(), c_.filters, i,
+                         "int8");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OddShapes, GroupedConvTest,
+    ::testing::Combine(
+        ::testing::Values(
+            ImplicitConvCase{8, 9, 9, 12, 3, 1, 1, 1},    // plain 3x3
+            ImplicitConvCase{8, 11, 7, 12, 3, 2, 1, 1},   // stride 2
+            ImplicitConvCase{6, 13, 10, 9, 3, 3, 2, 1},   // stride 3
+            ImplicitConvCase{12, 10, 10, 8, 5, 2, 2, 4},  // grouped 5x5
+            ImplicitConvCase{16, 8, 8, 24, 1, 1, 0, 1},   // 1x1 in place
+            ImplicitConvCase{9, 7, 5, 6, 3, 2, 0, 3},     // grouped, no pad
+            ImplicitConvCase{64, 2, 2, 16, 3, 1, 1, 1}),  // conv5-like 2x2
+        ::testing::Values(1, 2, 3, 5, 17)));
 
 // The headline footprint claim: on a VGG-style 3x3 conv the explicit
 // path's arena (im2col expansion + packed panels) is at least 4x the
@@ -310,6 +455,44 @@ TEST(ImplicitConvScratchTest, ConvTempBytesMatchesMeasuredPeak) {
   EXPECT_EQ(arena.peak_bytes(), ConvTempBytes(*arch, 0));
   // And the legacy figure dominates it by the materialized expansion.
   EXPECT_GT(ConvIm2ColTempBytes(*arch, 0), ConvTempBytes(*arch, 0));
+}
+
+// Grouped twin: a narrow layer runs each conv as one GEMM over a group of
+// LayerStat::group_images images, so Eq. 16's Temp figure must size the
+// grouped B panel. MicroVGG16 conv5 (two 48->48 3x3 convs on 2x2 maps)
+// runs in groups of 16; run one group through the model on a fresh
+// thread, whose arena starts empty, and compare its high-water.
+TEST(ImplicitConvScratchTest, GroupedConvTempBytesMatchesMeasuredPeak) {
+  auto arch = dl::MicroVgg16Arch();
+  ASSERT_TRUE(arch.ok());
+  auto model = dl::CnnModel::Instantiate(*arch, 5);
+  ASSERT_TRUE(model.ok());
+  auto layer = arch->FindLayer("conv5");
+  ASSERT_TRUE(layer.ok());
+  const int64_t images = arch->layer(*layer).group_images;
+  ASSERT_EQ(images, 16);
+  Rng rng(13);
+  std::vector<Tensor> inputs;
+  for (int64_t i = 0; i < images; ++i) {
+    inputs.push_back(Tensor::RandomGaussian(
+        arch->layer(*layer - 1).output_shape, &rng));
+  }
+  int64_t grouped_peak = -1;
+  int64_t one_peak = -1;
+  std::thread([&] {
+    if (model->RunRangeBatch(inputs, *layer, *layer).ok()) {
+      grouped_peak = KernelScratch::ThreadLocal().peak_bytes();
+    }
+  }).join();
+  std::thread([&] {
+    if (model->RunRange(inputs[0], *layer, *layer).ok()) {
+      one_peak = KernelScratch::ThreadLocal().peak_bytes();
+    }
+  }).join();
+  EXPECT_EQ(grouped_peak, ConvTempBytes(*arch, *layer));
+  // Grouping is what sized it: one image packs a narrower B panel.
+  EXPECT_GT(one_peak, 0);
+  EXPECT_LT(one_peak, grouped_peak);
 }
 
 // The scratch high-water is observable process-wide: a conv leaves a

@@ -165,6 +165,34 @@ TEST(ReluTest, ClampsNegatives) {
   EXPECT_FLOAT_EQ(input.at(0), -1);
 }
 
+// Relu, BatchNormInference and Add write over their input only when the
+// caller hands over its only reference; an input shared with another
+// tensor is copied and left as it was.
+TEST(ReluTest, WritesOverOnlyAnUnsharedInput) {
+  Tensor a(Shape{1, 1, 3}, {-1.0f, 2.0f, -3.0f});
+  const Tensor alias = a;
+  Tensor copied = Relu(a);
+  EXPECT_NE(copied.data(), alias.data());
+  EXPECT_FLOAT_EQ(alias.at(0), -1.0f);
+  EXPECT_FLOAT_EQ(copied.at(0), 0.0f);
+
+  Tensor owned = alias.Clone();
+  const float* buffer = owned.data();
+  Tensor relu = Relu(std::move(owned));
+  EXPECT_EQ(relu.data(), buffer);
+  EXPECT_FLOAT_EQ(relu.at(2), 0.0f);
+  auto bn = BatchNormInference(std::move(relu), Tensor::Full(Shape{1}, 2.0f),
+                               Tensor::Full(Shape{1}, 1.0f));
+  ASSERT_TRUE(bn.ok());
+  EXPECT_EQ(bn->data(), buffer);
+  auto sum = Add(std::move(bn).value(), alias);
+  ASSERT_TRUE(sum.ok());
+  EXPECT_EQ(sum->data(), buffer);
+  EXPECT_FLOAT_EQ(sum->at(0), 1.0f + -1.0f);
+  EXPECT_FLOAT_EQ(sum->at(1), 5.0f + 2.0f);
+  EXPECT_FLOAT_EQ(alias.at(1), 2.0f);
+}
+
 TEST(FullyConnectedTest, MatVec) {
   Tensor x(Shape{2}, {1, 2});
   Tensor w(Shape{3, 2}, {1, 0, 0, 1, 1, 1});

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "dl/cnn.h"
 #include "dl/model_zoo.h"
 #include "tensor/gemm.h"
@@ -180,25 +179,6 @@ INSTANTIATE_TEST_SUITE_P(
         // remainders in every dimension.
         std::make_tuple(97, 65, 1027)));
 
-TEST(GemmInt8Test, ParallelBitIdenticalToSerial) {
-  const int64_t m = 200, n = 80, k = 300;
-  const std::vector<int8_t> a = RandomInt8(m * k, 5);
-  const std::vector<int8_t> b = RandomInt8(k * n, 6);
-  std::vector<float> scale(m, 0.01f);
-
-  GemmInt8Epilogue ep;
-  ep.scale = scale.data();
-  std::vector<float> serial(m * n), parallel(m * n);
-  GemmPackedInt8(m, n, k, a.data(), k, b.data(), n, serial.data(), n, ep,
-                 &KernelScratch::ThreadLocal());
-  ThreadPool pool(4);
-  GemmPackedInt8Parallel(m, n, k, a.data(), k, b.data(), n, parallel.data(),
-                         n, ep, &pool);
-  for (int64_t i = 0; i < m * n; ++i) {
-    ASSERT_EQ(serial[i], parallel[i]) << "at " << i;
-  }
-}
-
 TEST(GemmInt8Test, EpilogueAppliesScaleBiasRelu) {
   // 1x2 result with known integer accumulators: a = [2, -3], columns of b
   // chosen so acc0 = 2*10 + -3*4 = 8, acc1 = 2*1 + -3*2 = -4.
@@ -319,8 +299,7 @@ TEST(Conv2DGemmInt8Test, GridAlignedInputMatchesFp32Exactly) {
   ASSERT_EQ(in_scale, act_step);
   auto ref = Conv2DGemmEx(input, w, bias, 1, 1, 1, false, nullptr);
   ASSERT_TRUE(ref.ok());
-  auto got = Conv2DGemmInt8(input, *qw, bias, 1, 1, 1, false, in_scale,
-                            nullptr);
+  auto got = Conv2DGemmInt8(input, *qw, bias, 1, 1, 1, false, in_scale);
   ASSERT_TRUE(got.ok());
   ExpectClose(*ref, *got, 1e-6f);
 }
@@ -338,8 +317,7 @@ TEST(Conv2DGemmInt8Test, GroupedConvMatchesFp32OnGrid) {
   ASSERT_EQ(in_scale, act_step);
   auto ref = Conv2DGemmEx(input, w, bias, 2, 1, 2, true, nullptr);
   ASSERT_TRUE(ref.ok());
-  auto got = Conv2DGemmInt8(input, *qw, bias, 2, 1, 2, true, in_scale,
-                            nullptr);
+  auto got = Conv2DGemmInt8(input, *qw, bias, 2, 1, 2, true, in_scale);
   ASSERT_TRUE(got.ok());
   ExpectClose(*ref, *got, 1e-6f);
 }
@@ -357,8 +335,7 @@ TEST(Conv2DGemmInt8Test, RandomInputErrorBoundedByQuantizationStep) {
                                                 input.num_elements()));
   auto ref = Conv2DGemmEx(input, w, bias, 1, 1, 1, false, nullptr);
   ASSERT_TRUE(ref.ok());
-  auto got = Conv2DGemmInt8(input, *qw, bias, 1, 1, 1, false, act_scale,
-                            nullptr);
+  auto got = Conv2DGemmInt8(input, *qw, bias, 1, 1, 1, false, act_scale);
   ASSERT_TRUE(got.ok());
 
   // Per-output analytic bound: k accumulation steps, each contributing at

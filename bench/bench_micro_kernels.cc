@@ -5,7 +5,8 @@
 // `--smoke` skips google-benchmark and runs the kernel smoke suite
 // instead: naive-vs-packed GEMM on a conv-shaped 256x1152x196 problem,
 // batched-inference thread scaling, the batch-major vs one-image speedup,
-// and the scratch-arena reuse counters, written as a machine-readable
+// the transfer featurizer against memcpy, and the scratch-arena reuse
+// counters, written as a machine-readable
 // report (default BENCH_smoke_kernels.json, override with `--out <path>`)
 // — the input to the CI bench-regression gate
 // (scripts/bench_regression.py).
@@ -14,7 +15,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -22,6 +25,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "dataflow/engine.h"
+#include "dl/cnn.h"
 #include "dl/model_zoo.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -278,7 +282,7 @@ int RunKernelSmoke(int argc, char** argv) {
   bench::BenchReporter reporter(
       "micro_kernels",
       "smoke: naive vs packed GEMM (256x1152x196), batched inference "
-      "scaling, scratch arena reuse");
+      "scaling, featurize vs memcpy, scratch arena reuse");
   obs::Registry registry;
   // fp32 packed time on the conv shape; the int8 section below reports its
   // throughput as a ratio against this.
@@ -626,6 +630,73 @@ int RunKernelSmoke(int argc, char** argv) {
     std::printf("batch-major conv5_1..fc6 x256: one image at a time %.2f "
                 "ms, grouped %.2f ms (%.2fx, bit-identical %d)\n",
                 one_ms, batch_ms, speedup, identical ? 1 : 0);
+  }
+
+  // --- Featurize: the downstream extractor's g_l
+  // (dl::AppendTransferFeatures) over 2048 records into one reused buffer,
+  // against a memcpy of the same input floats. copy_efficiency = memcpy
+  // time / featurize time, so 1 means featurizing a record costs what
+  // copying its map costs. At 256x2x2 (MicroResNet50 conv5_x) the map is
+  // at the target resolution and g_l is the identity; 24x3x3 (MicroAlexNet
+  // conv5) is pooled to 24x2x2 over ragged 1- and 2-wide windows.
+  {
+    obs::Json featurize = obs::Json::Object();
+    const int records = 2048;
+    featurize.Set("records", obs::Json::Int(records));
+    const int available =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    featurize.Set("available_cores", obs::Json::Int(available));
+    const std::pair<std::string, Shape> cases[] = {
+        {"256x2x2", Shape{256, 2, 2}}, {"24x3x3", Shape{24, 3, 3}}};
+    for (const auto& [dims, shape] : cases) {
+      Rng rng(13);
+      std::vector<Tensor> maps;
+      for (int i = 0; i < records; ++i) {
+        maps.push_back(Tensor::RandomGaussian(shape, &rng));
+      }
+      const auto n = static_cast<size_t>(shape.num_elements());
+      std::vector<float> x;
+      std::vector<float> copy(n);
+      const auto featurize_all = [&] {
+        for (const Tensor& map : maps) {
+          x.clear();
+          (void)dl::AppendTransferFeatures(map, 2, &x);
+          benchmark::DoNotOptimize(x.data());
+          benchmark::ClobberMemory();
+        }
+      };
+      const auto memcpy_all = [&] {
+        for (const Tensor& map : maps) {
+          std::memcpy(copy.data(), map.data(), n * sizeof(float));
+          benchmark::DoNotOptimize(copy.data());
+          benchmark::ClobberMemory();
+        }
+      };
+      featurize_all();  // Warm-up: grows x once.
+      memcpy_all();
+      // Alternate the two so that both see the same host noise; the
+      // efficiency is the median of the per-round ratios.
+      std::vector<double> featurize_ms, memcpy_ms, efficiency;
+      for (int round = 0; round < 15; ++round) {
+        featurize_ms.push_back(TimeMs(1, featurize_all));
+        memcpy_ms.push_back(TimeMs(1, memcpy_all));
+        efficiency.push_back(memcpy_ms.back() / featurize_ms.back());
+      }
+      const auto median = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return v[v.size() / 2];
+      };
+      featurize.Set("featurize_ms_" + dims,
+                    obs::Json::Num(median(featurize_ms)));
+      featurize.Set("memcpy_ms_" + dims, obs::Json::Num(median(memcpy_ms)));
+      featurize.Set("copy_efficiency_" + dims,
+                    obs::Json::Num(median(efficiency)));
+      std::printf("featurize %s x%d: %.3f ms, memcpy %.3f ms (copy "
+                  "efficiency %.2f)\n",
+                  dims.c_str(), records, median(featurize_ms),
+                  median(memcpy_ms), median(efficiency));
+    }
+    reporter.AddSection("featurize", std::move(featurize));
   }
 
   // --- Scratch arena: after the runs above every kernel call must be

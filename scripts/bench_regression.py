@@ -66,6 +66,11 @@ BENCHES = {
             # run byte for byte.
             ("batch_major", "speedup"),
             ("batch_major", "bit_identical"),
+            # The downstream featurizer (dl::AppendTransferFeatures) vs a
+            # memcpy of the same input floats: at the target resolution
+            # (256x2x2, the identity) and pooled (24x3x3).
+            ("featurize", "copy_efficiency_256x2x2"),
+            ("featurize", "copy_efficiency_24x3x3"),
         ],
         "informational": [
             ("gemm_256x1152x196", "naive_ms"),
@@ -83,6 +88,10 @@ BENCHES = {
             ("batched_inference", "efficiency_raw"),
             ("batch_major", "one_image_ms"),
             ("batch_major", "batched_ms"),
+            ("featurize", "featurize_ms_256x2x2"),
+            ("featurize", "memcpy_ms_256x2x2"),
+            ("featurize", "featurize_ms_24x3x3"),
+            ("featurize", "memcpy_ms_24x3x3"),
         ],
     },
     "shuffle": {

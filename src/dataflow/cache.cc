@@ -1,5 +1,7 @@
 #include "dataflow/cache.h"
 
+#include <algorithm>
+
 namespace vista::df {
 
 StorageCache::StorageCache(MemoryManager* memory, SpillManager* spill,
@@ -23,36 +25,34 @@ Status StorageCache::EvictUntilAvailable(int64_t bytes) {
     if (memory_->Available(MemoryRegion::kStorage) >= bytes) {
       return Status::OK();
     }
-    if (lru_.empty()) {
-      if (!allow_spill_) {
-        return Status::ResourceExhausted(
-            "Storage memory exhausted and spilling is disabled "
-            "(memory-only mode)");
-      }
-      // Caller will spill the incoming partition itself.
-      return Status::OutOfMemory("storage cannot fit partition");
-    }
-    // Evict the least-recently-used resident partition.
-    Partition* victim = lru_.back();
-    auto it = entries_.find(victim);
-    Entry& entry = it->second;
     if (!allow_spill_) {
       return Status::ResourceExhausted(
           "Storage memory exhausted and spilling is disabled "
           "(memory-only mode)");
     }
+    // Evict the least-recently-used resident partition no task has pinned.
+    const auto victim =
+        std::find_if(lru_.rbegin(), lru_.rend(), [this](Partition* p) {
+          return entries_.at(p).pins == 0;
+        });
+    if (victim == lru_.rend()) {
+      // Caller will spill the incoming partition itself.
+      return Status::OutOfMemory("storage cannot fit partition");
+    }
+    Partition* partition = *victim;
+    Entry& entry = entries_.at(partition);
     // Hand the blob to the background writer: the caller continues
     // serializing/inserting while the disk write is in flight. A write
     // that later fails surfaces at the engine's Flush (end of Persist) or
     // as a NotFound read that lineage recomputation absorbs.
-    VISTA_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, victim->ToBlob());
+    VISTA_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, partition->ToBlob());
     VISTA_RETURN_IF_ERROR(spill_->WriteAsync(entry.key, std::move(blob)));
-    victim->Evict();
+    partition->Evict();
     memory_->Release(MemoryRegion::kStorage, entry.charged_bytes);
     c_evictions_->Add(1);
     g_resident_bytes_->Add(-entry.charged_bytes);
     entry.charged_bytes = 0;
-    lru_.pop_back();
+    lru_.erase(entry.lru_it);
     entry.in_lru = false;
   }
 }
@@ -98,13 +98,20 @@ Status StorageCache::Insert(const std::shared_ptr<Partition>& partition) {
   return Status::OK();
 }
 
-Status StorageCache::FaultIn(Entry* entry) {
+Status StorageCache::FaultIn(Entry* entry,
+                             std::vector<Record>* passthrough) {
   Partition* p = entry->partition.get();
   VISTA_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, spill_->Read(entry->key));
   // Restored partitions come back in the compact serialized format; the
   // blob size is exactly what Storage must hold.
   const int64_t bytes = static_cast<int64_t>(blob.size());
-  VISTA_RETURN_IF_ERROR(EvictUntilAvailable(bytes));
+  Status room = EvictUntilAvailable(bytes);
+  if (room.IsOutOfMemory()) {
+    VISTA_ASSIGN_OR_RETURN(*passthrough,
+                           DeserializeRecords(blob, p->num_records()));
+    return Status::OK();
+  }
+  VISTA_RETURN_IF_ERROR(room);
   VISTA_RETURN_IF_ERROR(memory_->TryReserve(MemoryRegion::kStorage, bytes));
   Status restored = p->Restore(blob, PersistenceFormat::kSerialized);
   if (!restored.ok()) {
@@ -148,17 +155,42 @@ Result<std::vector<Record>> StorageCache::ReadThrough(
   if (!partition->resident()) {
     // A managed read that has to go to disk is the cache's miss case.
     c_read_misses_->Add(1);
-    VISTA_RETURN_IF_ERROR(FaultIn(&entry));
+    std::vector<Record> passthrough;
+    VISTA_RETURN_IF_ERROR(FaultIn(&entry, &passthrough));
+    if (!partition->resident()) return passthrough;
   } else if (entry.in_lru) {
-    lru_.erase(entry.lru_it);
-    lru_.push_front(partition.get());
-    entry.lru_it = lru_.begin();
-    c_read_hits_->Add(1);
+    Touch(&entry);
   }
   // Verify the serialized representation (restored from disk or long
   // resident) before ReadRecords header-scans and decodes it.
   VISTA_RETURN_IF_ERROR(VerifyResident(*partition));
   return partition->ReadRecords();
+}
+
+void StorageCache::Touch(Entry* entry) {
+  lru_.erase(entry->lru_it);
+  lru_.push_front(entry->partition.get());
+  entry->lru_it = lru_.begin();
+  c_read_hits_->Add(1);
+}
+
+const std::vector<Record>* StorageCache::Pin(
+    const std::shared_ptr<Partition>& partition) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto records = partition->records();
+  if (!records.ok()) return nullptr;  // Serialized or spilled.
+  auto it = entries_.find(partition.get());
+  if (it != entries_.end()) {
+    ++it->second.pins;
+    Touch(&it->second);
+  }
+  return *records;
+}
+
+void StorageCache::Unpin(const std::shared_ptr<Partition>& partition) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(partition.get());
+  if (it != entries_.end() && it->second.pins > 0) --it->second.pins;
 }
 
 void StorageCache::Prefetch(const std::shared_ptr<Partition>& partition) {

@@ -51,6 +51,18 @@ class StorageCache {
   Result<std::vector<Record>> ReadThrough(
       const std::shared_ptr<Partition>& partition);
 
+  /// Lends `partition`'s own records, without copying them, when they are
+  /// resident and deserialized. A managed partition is pinned until the
+  /// matching Unpin: EvictUntilAvailable skips it, so it stays resident
+  /// and charged while a task reads it, and the read counts as a cache
+  /// hit. An unmanaged partition, which nothing evicts, is lent as it is.
+  /// Returns null, pinning nothing, for a serialized or spilled partition:
+  /// read those through ReadThrough.
+  const std::vector<Record>* Pin(const std::shared_ptr<Partition>& partition);
+
+  /// Ends one loan of a Pin that returned non-null.
+  void Unpin(const std::shared_ptr<Partition>& partition);
+
   /// Removes a partition from management, releasing memory and any spill.
   void Remove(const std::shared_ptr<Partition>& partition);
 
@@ -73,15 +85,27 @@ class StorageCache {
     int64_t charged_bytes = 0;
     std::list<Partition*>::iterator lru_it;
     bool in_lru = false;
+    /// Outstanding Pin loans; eviction skips the entry while nonzero.
+    int pins = 0;
   };
 
-  /// Evicts LRU partitions until `bytes` of Storage are available.
-  /// Requires mu_ held. Returns ResourceExhausted when nothing is left to
-  /// evict (or spilling is disallowed) and the space still is not there.
+  /// Evicts LRU partitions nobody has pinned until `bytes` of Storage are
+  /// available. Requires mu_ held. Returns ResourceExhausted when spilling
+  /// is disallowed, and OutOfMemory when nothing unpinned is left to evict,
+  /// whenever the space still is not there.
   Status EvictUntilAvailable(int64_t bytes);
 
+  /// Marks a resident entry most-recently-used and counts a read hit.
   /// Requires mu_ held.
-  Status FaultIn(Entry* entry);
+  void Touch(Entry* entry);
+
+  /// Reads a spilled entry's verified block back. It becomes resident
+  /// (serialized) when Storage can make room for it. When it cannot —
+  /// pinned partitions hold the room, or the block is larger than the
+  /// whole region — the records are decoded from the block into
+  /// `*passthrough` instead and the entry stays spilled. Requires mu_
+  /// held.
+  Status FaultIn(Entry* entry, std::vector<Record>* passthrough);
 
   /// CRC-verifies `partition`'s resident serialized blob (no-op for other
   /// representations), updating the integrity counters either way.

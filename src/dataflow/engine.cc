@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <numeric>
 #include <unistd.h>
 
 #include "common/flat_map.h"
 #include "common/logging.h"
+#include "common/stopwatch.h"
 
 namespace vista::df {
 namespace {
@@ -33,6 +36,47 @@ std::vector<Record> MergeDestination(SourceBuckets* sources, int64_t j) {
     s[j].shrink_to_fit();
   }
   return out;
+}
+
+/// Size of destination bucket `j` summed over every source.
+template <typename T>
+size_t BucketSize(const std::vector<std::vector<std::vector<T>>>& sources,
+                  int64_t j) {
+  size_t n = 0;
+  for (const auto& s : sources) {
+    if (!s.empty()) n += s[j].size();
+  }
+  return n;
+}
+
+/// Core charge of each destination's hash build in a two-phase join, taken
+/// from the phase-1 buckets: the `bytes` of the smaller side's records
+/// (the right side on ties), which is the side phase 2 builds from.
+template <typename T, typename BytesFn>
+std::vector<int64_t> BuildCharges(
+    ThreadPool* pool, const std::vector<std::vector<std::vector<T>>>& left,
+    const std::vector<std::vector<std::vector<T>>>& right, int num_dest,
+    BytesFn bytes) {
+  std::vector<int64_t> charges(num_dest, 0);
+  pool->ParallelFor(num_dest, [&](int64_t j) {
+    const auto& build =
+        BucketSize(right, j) <= BucketSize(left, j) ? right : left;
+    for (const auto& s : build) {
+      if (s.empty()) continue;
+      for (const T& r : s[j]) charges[j] += bytes(r);
+    }
+  });
+  return charges;
+}
+
+/// Core memory a join's phase 2 holds at its peak: the `slots` largest
+/// build charges, since at most one build per task slot is live at once.
+/// A pure function of the charges and the slots, so whether a join fits
+/// its Core budget never depends on how its tasks happen to overlap.
+int64_t ConcurrentCharge(std::vector<int64_t> charges, int slots) {
+  std::sort(charges.begin(), charges.end(), std::greater<int64_t>());
+  charges.resize(std::min<size_t>(charges.size(), slots));
+  return std::accumulate(charges.begin(), charges.end(), int64_t{0});
 }
 
 std::vector<std::vector<Record>> BucketByHash(std::vector<Record> records,
@@ -351,8 +395,25 @@ Result<std::vector<Record>> Engine::ReadPartitionWithRetry(
   }
 }
 
+Status Engine::LendPartition(
+    const std::shared_ptr<Partition>& p,
+    const std::function<Status(const std::vector<Record>&)>& use) {
+  const Stopwatch watch;
+  const std::vector<Record>* lent = cache_->Pin(p);
+  if (lent == nullptr) {
+    VISTA_ASSIGN_OR_RETURN(std::vector<Record> records, ReadPartition(p));
+    return use(records);
+  }
+  c_partitions_read_->Add(1);
+  h_partition_read_ms_->Record(watch.ElapsedSeconds() * 1e3);
+  Status st = use(*lent);
+  cache_->Unpin(p);
+  return st;
+}
+
 Status Engine::RunMapTasks(const char* span_name, const Table& input,
-                           const PartitionFn& fn, int prefetch_depth) {
+                           const std::function<Status(int64_t)>& task,
+                           int prefetch_depth) {
   const int np = input.num_partitions();
   const uint64_t op = NextOpSeq();
   obs::ScopedSpan span(tracer_, span_name, "engine");
@@ -373,9 +434,7 @@ Status Engine::RunMapTasks(const char* span_name, const Table& input,
                                        FaultInjector::TaskKey(unit, attempt),
                                        "partition " + std::to_string(i));
       if (st.ok()) {
-        auto records = ReadPartition(input.partitions[i]);
-        st = records.ok() ? fn(i, std::move(records).value())
-                          : records.status();
+        st = task(i);
         if (st.ok()) return;
       }
       if (attempt + 1 >= policy.max_attempts || !IsRetryable(policy, st)) {
@@ -399,7 +458,9 @@ Result<Table> Engine::MapPartitions(const Table& input,
   std::vector<std::shared_ptr<Partition>> outputs(np);
   VISTA_RETURN_IF_ERROR(RunMapTasks(
       "map_partitions", input,
-      [&](int64_t i, std::vector<Record> records) -> Status {
+      [&](int64_t i) -> Status {
+        VISTA_ASSIGN_OR_RETURN(std::vector<Record> records,
+                               ReadPartition(input.partitions[i]));
         VISTA_ASSIGN_OR_RETURN(std::vector<Record> mapped,
                                fn(std::move(records)));
         c_records_out_->Add(static_cast<int64_t>(mapped.size()));
@@ -419,7 +480,14 @@ Result<Table> Engine::MapPartitions(const Table& input,
 }
 
 Status Engine::ForEachPartition(const Table& input, const PartitionFn& fn) {
-  return RunMapTasks("for_each_partition", input, fn, -1);
+  return RunMapTasks(
+      "for_each_partition", input,
+      [&](int64_t i) {
+        return LendPartition(
+            input.partitions[i],
+            [&](const std::vector<Record>& records) { return fn(i, records); });
+      },
+      -1);
 }
 
 Status Engine::ShuffleSources(
@@ -639,14 +707,19 @@ Result<Table> Engine::Join(const Table& left, const Table& right,
   VISTA_RETURN_IF_ERROR(ShuffleSources(right, op, 1, np,
                                        "shuffle send (right)",
                                        &right_sources));
+  // Join working memory: each build side's deserialized footprint, charged
+  // to Core for all of phase 2 at its concurrent peak.
+  const int64_t charge = ConcurrentCharge(
+      BuildCharges(pool_.get(), left_sources, right_sources, np,
+                   EstimateRecordBytes),
+      parallelism());
+  VISTA_RETURN_IF_ERROR(memory_->TryReserve(MemoryRegion::kCore, charge));
 
   std::vector<std::shared_ptr<Partition>> outputs(np);
-  std::vector<Status> statuses(np);
   pool_->ParallelFor(np, [&](int64_t i) {
     std::vector<Record> left_bucket = MergeDestination(&left_sources, i);
     std::vector<Record> right_bucket = MergeDestination(&right_sources, i);
-    // Build side: the smaller bucket. Charge its footprint to Core memory
-    // for the duration of the probe (join working memory).
+    // Build side: the smaller bucket (as BuildCharges chose it).
     std::vector<Record>& build = right_bucket.size() <= left_bucket.size()
                                      ? right_bucket
                                      : left_bucket;
@@ -654,13 +727,6 @@ Result<Table> Engine::Join(const Table& left, const Table& right,
                                      ? left_bucket
                                      : right_bucket;
     const bool build_is_right = &build == &right_bucket;
-    int64_t build_bytes = 0;
-    for (const Record& r : build) build_bytes += EstimateRecordBytes(r);
-    Status reserve = memory_->TryReserve(MemoryRegion::kCore, build_bytes);
-    if (!reserve.ok()) {
-      statuses[i] = reserve;
-      return;
-    }
     FlatMap<const Record*> hash_table(build.size());
     for (const Record& r : build) hash_table.emplace(r.id, &r);
     std::vector<Record> joined;
@@ -673,14 +739,11 @@ Result<Table> Engine::Join(const Table& left, const Table& right,
                                         : MergeRecords(**hit, p));
       }
     }
-    memory_->Release(MemoryRegion::kCore, build_bytes);
     build.clear();
     probe.clear();
     outputs[i] = std::make_shared<Partition>(std::move(joined));
   });
-  for (const Status& st : statuses) {
-    VISTA_RETURN_IF_ERROR(st);
-  }
+  memory_->Release(MemoryRegion::kCore, charge);
   Table out;
   out.partitions = std::move(outputs);
   return out;
@@ -702,9 +765,18 @@ Result<Table> Engine::SerializedShuffleJoin(const Table& left,
       1, np, "shuffle send (right)", &right_sources, &wire_bytes,
       c_blocks_verified_, c_checksum_failures_));
   c_shuffle_bytes_->Add(wire_bytes);
+  // The hash builds hold byte-range views, so the Core charge is each build
+  // side's wire footprint — what this path actually keeps resident, not the
+  // (larger, dense) deserialized estimate.
+  const int64_t charge = ConcurrentCharge(
+      BuildCharges(pool_.get(), left_sources, right_sources, np,
+                   [](const WireRef& r) {
+                     return static_cast<int64_t>(r.view.wire_bytes());
+                   }),
+      parallelism());
+  VISTA_RETURN_IF_ERROR(memory_->TryReserve(MemoryRegion::kCore, charge));
 
   std::vector<std::shared_ptr<Partition>> outputs(np);
-  std::vector<Status> statuses(np);
   pool_->ParallelFor(np, [&](int64_t i) {
     std::vector<WireRef> left_bucket = MergeWireDestination(&left_sources, i);
     std::vector<WireRef> right_bucket =
@@ -718,18 +790,6 @@ Result<Table> Engine::SerializedShuffleJoin(const Table& left,
                                       ? left_bucket
                                       : right_bucket;
     const bool build_is_right = &build == &right_bucket;
-    // The hash build holds byte-range views, so the Core charge is the
-    // build side's wire footprint — what this path actually keeps resident,
-    // not the (larger, dense) deserialized estimate.
-    int64_t build_bytes = 0;
-    for (const WireRef& r : build) {
-      build_bytes += static_cast<int64_t>(r.view.wire_bytes());
-    }
-    Status reserve = memory_->TryReserve(MemoryRegion::kCore, build_bytes);
-    if (!reserve.ok()) {
-      statuses[i] = reserve;
-      return;
-    }
     FlatMap<const WireRef*> hash_table(build.size());
     for (const WireRef& r : build) hash_table.emplace(r.view.id, &r);
     // Probe pass collects the matches (in probe order, (left, right)
@@ -752,13 +812,10 @@ Result<Table> Engine::SerializedShuffleJoin(const Table& left,
     for (const auto& [l, r] : hits) {
       SpliceJoinedRecord(*l->blob, l->view, *r->blob, r->view, &blob);
     }
-    memory_->Release(MemoryRegion::kCore, build_bytes);
     outputs[i] = std::make_shared<Partition>(
         std::move(blob), static_cast<int64_t>(hits.size()));
   });
-  for (const Status& st : statuses) {
-    VISTA_RETURN_IF_ERROR(st);
-  }
+  memory_->Release(MemoryRegion::kCore, charge);
   Table out;
   out.partitions = std::move(outputs);
   return out;

@@ -144,8 +144,8 @@ class Engine {
   using MapPartitionsFn =
       std::function<Result<std::vector<Record>>(std::vector<Record>)>;
   /// Read-only task over one partition's records, given its index.
-  using PartitionFn =
-      std::function<Status(int64_t partition, std::vector<Record> records)>;
+  using PartitionFn = std::function<Status(
+      int64_t partition, const std::vector<Record>& records)>;
 
   explicit Engine(EngineConfig config);
 
@@ -192,7 +192,11 @@ class Engine {
   /// Runs `fn` on every partition in parallel as MapPartitions tasks do
   /// (fault draws, retries, read-ahead, lineage), producing nothing. A
   /// retried task calls `fn(i, ...)` again, so `fn` must store results by
-  /// overwriting slot i, never by accumulating into it.
+  /// overwriting slot i, never by accumulating into it. `fn` reads the
+  /// records in place where it can: a resident deserialized partition
+  /// lends its own records (pinned against eviction while `fn` runs, see
+  /// StorageCache::Pin); serialized and spilled partitions are read
+  /// through the cache as MapPartitions reads them.
   Status ForEachPartition(const Table& input, const PartitionFn& fn);
 
   /// Non-blocking read-ahead hints for every currently spilled partition
@@ -253,11 +257,20 @@ class Engine {
       const std::shared_ptr<Partition>& p, uint64_t unit,
       const char* what);
 
+  /// ReadPartition for read-only tasks: runs `use` on the partition's own
+  /// records when StorageCache::Pin lends them, and on a copy read
+  /// through the cache otherwise.
+  Status LendPartition(
+      const std::shared_ptr<Partition>& p,
+      const std::function<Status(const std::vector<Record>&)>& use);
+
   /// The map-task loop behind MapPartitions and ForEachPartition: per
-  /// partition, draw a map-task fault, read (or recompute from lineage),
-  /// run `fn`, and retry under the policy. Records one `span_name` span.
+  /// partition, draw a map-task fault, run `task(i)` (which reads the
+  /// partition, or recomputes it from lineage, and processes it), and retry
+  /// under the policy. Records one `span_name` span.
   Status RunMapTasks(const char* span_name, const Table& input,
-                     const PartitionFn& fn, int prefetch_depth);
+                     const std::function<Status(int64_t)>& task,
+                     int prefetch_depth);
 
   /// Issues read-ahead hints around task `i` of a partition-ordered loop:
   /// the initial window [0, depth) when i == 0 has not run yet is seeded

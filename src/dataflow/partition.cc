@@ -78,14 +78,7 @@ Status Partition::ConvertTo(PersistenceFormat format) {
     records_.clear();
     records_.shrink_to_fit();
   } else {
-    std::vector<Record> records;
-    records.reserve(num_records_);
-    size_t offset = 0;
-    for (int64_t i = 0; i < num_records_; ++i) {
-      VISTA_ASSIGN_OR_RETURN(Record r, DeserializeRecord(blob_, &offset));
-      records.push_back(std::move(r));
-    }
-    records_ = std::move(records);
+    VISTA_ASSIGN_OR_RETURN(records_, DeserializeRecords(blob_, num_records_));
     blob_.clear();
     blob_.shrink_to_fit();
     blob_crc_valid_ = false;
@@ -99,16 +92,12 @@ Result<std::vector<Record>> Partition::ReadRecords() const {
     return Status::FailedPrecondition("partition is spilled");
   }
   if (format_ == PersistenceFormat::kDeserialized) {
-    return records_;  // Copy; tensors share buffers so this is cheap.
+    // A full copy: tensors share their buffers, but every record's vectors
+    // and the tensors' shape and refcount are copied. Read-only passes
+    // borrow records() instead (StorageCache::Pin).
+    return records_;
   }
-  std::vector<Record> records;
-  records.reserve(num_records_);
-  size_t offset = 0;
-  for (int64_t i = 0; i < num_records_; ++i) {
-    VISTA_ASSIGN_OR_RETURN(Record r, DeserializeRecord(blob_, &offset));
-    records.push_back(std::move(r));
-  }
-  return records;
+  return DeserializeRecords(blob_, num_records_);
 }
 
 Result<const std::vector<Record>*> Partition::records() const {

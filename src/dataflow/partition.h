@@ -64,11 +64,14 @@ class Partition {
   Status ConvertTo(PersistenceFormat format);
 
   /// Returns a copy of the records, decoding if serialized. Fails if the
-  /// partition is not resident.
+  /// partition is not resident. The copy is not free even when
+  /// deserialized: every record's vectors and tensor handles are copied
+  /// (the tensor data buffers are shared).
   Result<std::vector<Record>> ReadRecords() const;
 
   /// Direct access to deserialized records (must be resident and
-  /// deserialized).
+  /// deserialized). A managed partition must be pinned
+  /// (StorageCache::Pin) while they are read, or eviction may clear them.
   Result<const std::vector<Record>*> records() const;
 
   /// Serialized blob of the partition's records regardless of the resident

@@ -292,6 +292,18 @@ Result<Record> DeserializeRecord(const std::vector<uint8_t>& buffer,
   return record;
 }
 
+Result<std::vector<Record>> DeserializeRecords(
+    const std::vector<uint8_t>& blob, int64_t count) {
+  std::vector<Record> records;
+  records.reserve(static_cast<size_t>(count));
+  size_t offset = 0;
+  for (int64_t i = 0; i < count; ++i) {
+    VISTA_ASSIGN_OR_RETURN(Record r, DeserializeRecord(blob, &offset));
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
 namespace {
 
 /// Skips one serialized tensor without materializing it, with the same

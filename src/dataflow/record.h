@@ -64,6 +64,10 @@ void SerializeRecord(const Record& record, std::vector<uint8_t>* out);
 Result<Record> DeserializeRecord(const std::vector<uint8_t>& buffer,
                                  size_t* offset);
 
+/// Deserializes the first `count` records of `blob`.
+Result<std::vector<Record>> DeserializeRecords(
+    const std::vector<uint8_t>& blob, int64_t count);
+
 /// Byte-range map of one serialized record inside a blob, produced by
 /// ScanRecord by walking headers only — no payload is decoded and nothing
 /// is allocated. The late-materialization shuffle path moves and joins

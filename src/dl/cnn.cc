@@ -469,12 +469,21 @@ Status CnnModel::CalibrateInt8(const std::vector<Tensor>& images) {
   return Status::OK();
 }
 
-Result<Tensor> TransferFeaturize(const Tensor& layer_output, int grid) {
+Status AppendTransferFeatures(const Tensor& layer_output, int grid,
+                              std::vector<float>* out) {
   if (layer_output.shape().rank() == 3) {
-    VISTA_ASSIGN_OR_RETURN(Tensor pooled, GridMaxPool(layer_output, grid));
-    return pooled.Flatten();
+    return AppendGridMaxPool(layer_output, grid, out);
   }
-  return layer_output.Flatten();
+  out->insert(out->end(), layer_output.data(),
+              layer_output.data() + layer_output.num_elements());
+  return Status::OK();
+}
+
+Result<Tensor> TransferFeaturize(const Tensor& layer_output, int grid) {
+  std::vector<float> features;
+  VISTA_RETURN_IF_ERROR(AppendTransferFeatures(layer_output, grid, &features));
+  const auto n = static_cast<int64_t>(features.size());
+  return Tensor(Shape{n}, std::move(features));
 }
 
 }  // namespace vista::dl

@@ -247,9 +247,16 @@ class CnnModel {
   std::vector<obs::Counter*> layer_int8_ops_;
 };
 
-/// The paper's g_l ∘ (optional pooling): reduces a convolutional layer
-/// output to a grid x grid x depth tensor via max pooling, then flattens;
-/// non-convolutional outputs are flattened directly.
+/// The paper's g_l ∘ (optional pooling), appended to `*out`: a
+/// convolutional (C x H x W) layer output is reduced to C x grid x grid by
+/// GridMaxPool's loop (the identity at or below that resolution) straight
+/// into `*out`; any other output is appended as it is. Allocates nothing
+/// once `*out`'s capacity suffices, so an extractor that reuses its buffer
+/// allocates only on its first record.
+Status AppendTransferFeatures(const Tensor& layer_output, int grid,
+                              std::vector<float>* out);
+
+/// AppendTransferFeatures as a fresh rank-1 tensor.
 Result<Tensor> TransferFeaturize(const Tensor& layer_output, int grid = 2);
 
 }  // namespace vista::dl

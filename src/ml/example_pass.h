@@ -61,7 +61,8 @@ Result<ExamplePass<Acc>> ForEachExample(df::Engine* engine,
   pass.slots.resize(table.num_partitions());
   std::vector<int64_t> dims(table.num_partitions(), -1);
   VISTA_RETURN_IF_ERROR(engine->ForEachPartition(
-      table, [&](int64_t i, std::vector<df::Record> records) -> Status {
+      table,
+      [&](int64_t i, const std::vector<df::Record>& records) -> Status {
         Acc acc{};
         int64_t dim = -1;
         std::vector<float> x;

@@ -28,6 +28,12 @@ Status ExpectMaps(const Tensor& t, const char* what) {
   return Status::OK();
 }
 
+/// Whether an H x W map is at or below the grid x grid target resolution,
+/// where GridMaxPool is the identity.
+bool AtOrBelowGrid(int64_t h, int64_t w, int grid) {
+  return h < grid || w < grid || (h == grid && w == grid);
+}
+
 }  // namespace
 
 Result<Tensor> Conv2D(const Tensor& input, const Tensor& weights,
@@ -319,37 +325,51 @@ Result<Tensor> LocalResponseNorm(const Tensor& input, int depth_radius,
   return out;
 }
 
-Result<Tensor> GridMaxPool(const Tensor& input, int grid) {
+Status AppendGridMaxPool(const Tensor& input, int grid,
+                         std::vector<float>* out) {
   VISTA_RETURN_IF_ERROR(ExpectRank(input, 3, "GridMaxPool input"));
   if (grid < 1) return Status::InvalidArgument("GridMaxPool: grid < 1");
   const int64_t c = input.shape().dim(0);
   const int64_t h = input.shape().dim(1);
   const int64_t w = input.shape().dim(2);
-  if (h < grid || w < grid) {
-    // Already at or below target resolution: identity.
-    return input;
-  }
-  Tensor out(Shape{c, grid, grid});
   const float* in = input.data();
-  float* o = out.mutable_data();
-  for (int64_t ch = 0; ch < c; ++ch) {
-    for (int g1 = 0; g1 < grid; ++g1) {
-      const int64_t y0 = g1 * h / grid;
-      const int64_t y1 = (g1 + 1) * h / grid;
-      for (int g2 = 0; g2 < grid; ++g2) {
-        const int64_t x0 = g2 * w / grid;
-        const int64_t x1 = (g2 + 1) * w / grid;
+  if (AtOrBelowGrid(h, w, grid)) {
+    out->insert(out->end(), in, in + input.num_elements());
+    return Status::OK();
+  }
+  const int64_t cells = int64_t{grid} * grid;
+  const size_t at = out->size();
+  out->resize(at + static_cast<size_t>(c * cells));
+  float* o = out->data() + at;
+  for (int g1 = 0; g1 < grid; ++g1) {
+    const int64_t y0 = g1 * h / grid;
+    const int64_t y1 = (g1 + 1) * h / grid;
+    for (int g2 = 0; g2 < grid; ++g2) {
+      const int64_t x0 = g2 * w / grid;
+      const int64_t x1 = (g2 + 1) * w / grid;
+      for (int64_t ch = 0; ch < c; ++ch) {
+        const float* map = in + ch * h * w;
         float best = -std::numeric_limits<float>::infinity();
         for (int64_t y = y0; y < y1; ++y) {
           for (int64_t x = x0; x < x1; ++x) {
-            best = std::max(best, in[(ch * h + y) * w + x]);
+            best = std::max(best, map[y * w + x]);
           }
         }
-        o[(ch * grid + g1) * grid + g2] = best;
+        o[ch * cells + g1 * grid + g2] = best;
       }
     }
   }
-  return out;
+  return Status::OK();
+}
+
+Result<Tensor> GridMaxPool(const Tensor& input, int grid) {
+  std::vector<float> pooled;
+  VISTA_RETURN_IF_ERROR(AppendGridMaxPool(input, grid, &pooled));
+  const Shape& s = input.shape();
+  return Tensor(AtOrBelowGrid(s.dim(1), s.dim(2), grid)
+                    ? s
+                    : Shape{s.dim(0), grid, grid},
+                std::move(pooled));
 }
 
 int64_t Conv2DFlops(int64_t in_channels, int64_t out_channels,

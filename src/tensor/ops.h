@@ -2,6 +2,7 @@
 #define VISTA_TENSOR_OPS_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/status.h"
 #include "tensor/tensor.h"
@@ -76,7 +77,18 @@ Result<Tensor> LocalResponseNorm(const Tensor& input, int depth_radius = 2,
 /// The paper's dimensionality reducer for convolutional feature layers
 /// (footnote 4): max pooling with filter width and stride chosen so the
 /// C x H x W tensor reduces to a C x grid x grid tensor of the same depth.
+/// Cell (i, j) takes the max over rows [i*H/grid, (i+1)*H/grid) and
+/// columns [j*W/grid, (j+1)*W/grid), starting from -inf, so a NaN never
+/// wins a pooled window. A map already at or below the target resolution
+/// (H or W below grid, or H = W = grid) is the identity, NaN included.
 Result<Tensor> GridMaxPool(const Tensor& input, int grid = 2);
+
+/// GridMaxPool writing into caller memory: appends the pooled values of a
+/// C x H x W `input` to `*out`. The one pooling loop: it computes each
+/// cell's window bounds once per call and allocates nothing once `*out`'s
+/// capacity suffices.
+Status AppendGridMaxPool(const Tensor& input, int grid,
+                         std::vector<float>* out);
 
 /// FLOP counts used by layer statistics and the simulator's cost model.
 /// Convention: one multiply-accumulate = 2 FLOPs.

@@ -133,10 +133,8 @@ ml::FeatureExtractor MakeTransferExtractor(int feature_slot,
             "record has no feature tensor in slot " +
             std::to_string(feature_slot));
       }
-      VISTA_ASSIGN_OR_RETURN(
-          Tensor g,
-          dl::TransferFeaturize(r.features.at(feature_slot), pooling_grid));
-      x->insert(x->end(), g.data(), g.data() + g.num_elements());
+      return dl::AppendTransferFeatures(r.features.at(feature_slot),
+                                        pooling_grid, x);
     }
     return Status::OK();
   };

@@ -197,7 +197,9 @@ class RealExecutor {
 };
 
 /// The feature extractor used for downstream training: label is
-/// struct_features[0], features are [struct_features[1..], g(slot tensor)].
+/// struct_features[0], features are [struct_features[1..], g(slot tensor)],
+/// written into the caller's `x` (dl::AppendTransferFeatures), so a pass
+/// that reuses `x` allocates nothing after its first record.
 ml::FeatureExtractor MakeTransferExtractor(int feature_slot,
                                            int pooling_grid);
 

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -366,16 +368,31 @@ TEST(EngineTest, JoinMergesImageAndFeatures) {
 }
 
 TEST(EngineTest, BroadcastJoinChargesCoreMemory) {
+  // Each record is 32 B by EstimateRecordBytes: 8 B key, 8 B null bitmap,
+  // an 8 B header and two floats. Broadcast replicates the 50-record right
+  // side to both workers: 50 * 32 B * 2 = 3200 B of Core. The shuffle join
+  // builds each of its 4 destinations from the right bucket (both sides
+  // hold the same ids, so the buckets tie), 1600 B in all, and 4 task
+  // slots (2 workers x 2 cpus) let all 4 builds be live at once: 1600 B.
   EngineConfig config = SmallEngineConfig();
-  config.budgets.core = 1000;  // Far too small for the broadcast table.
+  config.budgets.core = 2000;
   Engine engine(config);
   auto left = engine.MakeTable(MakeRecords(50), 4);
   auto right = engine.MakeTable(MakeRecords(50), 4);
   auto joined = engine.Join(*left, *right, JoinStrategy::kBroadcast, 4);
   EXPECT_TRUE(joined.status().IsResourceExhausted());
-  // Shuffle join splits the build side per bucket and fits.
   auto shuffled = engine.Join(*left, *right, JoinStrategy::kShuffleHash, 4);
   EXPECT_TRUE(shuffled.ok());
+  EXPECT_EQ(engine.memory().Peak(MemoryRegion::kCore), 1600);
+  EXPECT_EQ(engine.memory().Used(MemoryRegion::kCore), 0);
+
+  // Below that concurrent charge the shuffle join fails every time, not
+  // only when its tasks happen to overlap.
+  config.budgets.core = 1000;
+  Engine tight(config);
+  auto tight_shuffled =
+      tight.Join(*left, *right, JoinStrategy::kShuffleHash, 4);
+  EXPECT_TRUE(tight_shuffled.status().IsResourceExhausted());
 }
 
 TEST(EngineTest, CollectEnforcesDriverMemory) {
@@ -517,6 +534,196 @@ TEST(EngineTest, RepartitionPreservesRecords) {
   ASSERT_TRUE(repartitioned.ok());
   EXPECT_EQ(repartitioned->num_partitions(), 11);
   EXPECT_EQ(repartitioned->num_records(), 77);
+}
+
+/// Field-by-field, byte-for-byte record equality.
+bool SameRecords(const std::vector<Record>& a, const std::vector<Record>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id || a[i].struct_features != b[i].struct_features ||
+        a[i].features.size() != b[i].features.size()) {
+      return false;
+    }
+    for (int t = 0; t < a[i].features.size(); ++t) {
+      const Tensor& x = a[i].features.at(t);
+      const Tensor& y = b[i].features.at(t);
+      if (!(x.shape() == y.shape()) ||
+          std::memcmp(x.data(), y.data(), x.num_bytes()) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(EngineTest, ForEachPartitionLendsResidentDeserializedRecords) {
+  Engine engine(SmallEngineConfig());
+  auto table = engine.MakeTable(MakeRecords(40, 1), 4);
+  ASSERT_TRUE(table.ok());
+  std::vector<const std::vector<Record>*> lent(4, nullptr);
+  const auto record_addresses = [&](int64_t i,
+                                    const std::vector<Record>& records) {
+    lent[i] = &records;
+    return Status::OK();
+  };
+  // Unmanaged partitions are lent as they are.
+  ASSERT_TRUE(engine.ForEachPartition(*table, record_addresses).ok());
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(lent[i], *table->partitions[i]->records()) << i;
+  }
+  // Managed resident ones too, as cache hits.
+  ASSERT_TRUE(engine.Persist(&*table, PersistenceFormat::kDeserialized).ok());
+  const int64_t hits = RegisteredCounter(engine.metrics(), "cache.read_hits");
+  lent.assign(4, nullptr);
+  ASSERT_TRUE(engine.ForEachPartition(*table, record_addresses).ok());
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(lent[i], *table->partitions[i]->records()) << i;
+  }
+  EXPECT_EQ(RegisteredCounter(engine.metrics(), "cache.read_hits"), hits + 4);
+  EXPECT_EQ(RegisteredCounter(engine.metrics(), "cache.read_misses"), 0);
+}
+
+TEST(EngineTest, ConcurrentPersistNeverEvictsALentPartition) {
+  std::vector<Record> a_rows = MakeRecords(64, 2);
+  std::vector<Record> b_rows = MakeRecords(64, 2);
+  for (Record& r : b_rows) r.id += 1000;
+  EngineConfig config = SmallEngineConfig();
+  {
+    Engine sizing(config);
+    config.budgets.storage = sizing.MakeTable(a_rows, 2)->memory_bytes();
+  }
+  Engine engine(config);
+  auto a = engine.MakeTable(a_rows, 2);
+  auto b = engine.MakeTable(b_rows, 2);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(engine.Persist(&*a, PersistenceFormat::kDeserialized).ok());
+  ASSERT_TRUE(a->partitions[0]->resident());
+  const std::vector<Record> want = *a->partitions[0]->ReadRecords();
+
+  // While partition 0 is lent, persist a table that needs all of Storage.
+  Status persisted = Status::Internal("not run");
+  const Table only0{{a->partitions[0]}};
+  ASSERT_TRUE(engine
+                  .ForEachPartition(
+                      only0,
+                      [&](int64_t, const std::vector<Record>& records) {
+                        std::thread writer([&] {
+                          persisted = engine.Persist(
+                              &*b, PersistenceFormat::kDeserialized);
+                        });
+                        writer.join();
+                        EXPECT_TRUE(a->partitions[0]->resident());
+                        EXPECT_EQ(&records, *a->partitions[0]->records());
+                        EXPECT_TRUE(SameRecords(records, want));
+                        return Status::OK();
+                      })
+                  .ok());
+  ASSERT_TRUE(persisted.ok()) << persisted.ToString();
+  EXPECT_GT(RegisteredCounter(engine.metrics(), "cache.evictions"), 0);
+  // Storage holds exactly the resident managed partitions.
+  int64_t resident = 0;
+  for (const Table* t : {&*a, &*b}) resident += t->memory_bytes();
+  EXPECT_EQ(engine.memory().Used(MemoryRegion::kStorage), resident);
+  EXPECT_LE(resident, config.budgets.storage);
+}
+
+TEST(EngineTest, SpilledReadPassesThroughWhileAPinHoldsStorage) {
+  // Sparse rows: a partition's serialized blob is far smaller than its
+  // deserialized footprint.
+  std::vector<Record> rows = MakeRecords(60, 2, 0.1);
+  EngineConfig config = SmallEngineConfig();
+  {
+    // Room for partition 1 resident plus all but one byte of partition 0's
+    // blob: partition 0 can be restored only by evicting partition 1.
+    Engine sizing(config);
+    auto t = sizing.MakeTable(rows, 2);
+    config.budgets.storage =
+        t->partitions[1]->memory_bytes() +
+        t->partitions[0]->memory_bytes_as(PersistenceFormat::kSerialized) - 1;
+  }
+  Engine engine(config);
+  auto table = engine.MakeTable(rows, 2);
+  ASSERT_TRUE(table.ok());
+  const std::vector<Record> want0 = *table->partitions[0]->ReadRecords();
+  ASSERT_TRUE(engine.Persist(&*table, PersistenceFormat::kDeserialized).ok());
+  // Partition 1 took partition 0's place.
+  ASSERT_FALSE(table->partitions[0]->resident());
+  ASSERT_TRUE(table->partitions[1]->resident());
+
+  const Table only0{{table->partitions[0]}};
+  const Table only1{{table->partitions[1]}};
+  ASSERT_TRUE(engine
+                  .ForEachPartition(
+                      only1,
+                      [&](int64_t, const std::vector<Record>&) {
+                        // Partition 1 is pinned, so partition 0 cannot be
+                        // restored; its read is served from the verified
+                        // spill block and it stays spilled.
+                        const int64_t used =
+                            engine.memory().Used(MemoryRegion::kStorage);
+                        auto got = engine.Collect(only0);
+                        EXPECT_TRUE(got.ok() && SameRecords(*got, want0));
+                        EXPECT_FALSE(table->partitions[0]->resident());
+                        EXPECT_TRUE(table->partitions[1]->resident());
+                        EXPECT_EQ(engine.memory().Used(MemoryRegion::kStorage),
+                                  used);
+                        return Status::OK();
+                      })
+                  .ok());
+  // Unpinned, partition 1 gives way to a normal fault-in again.
+  ASSERT_TRUE(engine.Collect(only0).ok());
+  EXPECT_TRUE(table->partitions[0]->resident());
+  EXPECT_FALSE(table->partitions[1]->resident());
+}
+
+TEST(EngineTest, ForEachPartitionStillVerifiesSerializedAndSpilledReads) {
+  // Serialized and resident: every read decodes a verified blob.
+  {
+    Engine engine(SmallEngineConfig());
+    auto table = engine.MakeTable(MakeRecords(40, 1), 4);
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(engine.Persist(&*table, PersistenceFormat::kSerialized).ok());
+    const int64_t verified = engine.stats().integrity.blocks_verified;
+    std::vector<int64_t> sizes(4, 0);
+    ASSERT_TRUE(engine
+                    .ForEachPartition(*table,
+                                      [&](int64_t i,
+                                          const std::vector<Record>& records) {
+                                        sizes[i] = records.size();
+                                        return Status::OK();
+                                      })
+                    .ok());
+    EXPECT_EQ(engine.stats().integrity.blocks_verified, verified + 4);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(sizes[i], table->partitions[i]->num_records());
+    }
+  }
+  // Spilled: every read faults a verified spill block back in.
+  {
+    EngineConfig config = SmallEngineConfig();
+    config.budgets.storage = 1;
+    Engine engine(config);
+    auto table = engine.MakeTable(MakeRecords(40, 1), 4);
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(
+        engine.Persist(&*table, PersistenceFormat::kDeserialized).ok());
+    ASSERT_EQ(engine.cache().num_spilled(), 4);
+    const int64_t verified = engine.stats().integrity.blocks_verified;
+    int64_t records_seen = 0;
+    std::vector<int64_t> sizes(4, 0);
+    ASSERT_TRUE(engine
+                    .ForEachPartition(*table,
+                                      [&](int64_t i,
+                                          const std::vector<Record>& records) {
+                                        sizes[i] = records.size();
+                                        return Status::OK();
+                                      })
+                    .ok());
+    for (int64_t n : sizes) records_seen += n;
+    EXPECT_EQ(records_seen, 40);
+    EXPECT_GE(engine.stats().integrity.blocks_verified, verified + 4);
+    EXPECT_EQ(RegisteredCounter(engine.metrics(), "cache.read_misses"), 4);
+  }
 }
 
 }  // namespace

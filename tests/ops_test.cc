@@ -1,4 +1,9 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -291,6 +296,93 @@ TEST(GridMaxPoolTest, SmallInputIsIdentity) {
   auto out = GridMaxPool(input, 2);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->AllClose(input));
+}
+
+/// The oracle: GridMaxPool as first written, with every window's bounds
+/// recomputed, pooling every map not below the target resolution (so a
+/// 1 x 1 window turns NaN into -inf).
+Tensor NaiveGridMaxPool(const Tensor& input, int grid) {
+  const int64_t c = input.shape().dim(0);
+  const int64_t h = input.shape().dim(1);
+  const int64_t w = input.shape().dim(2);
+  if (h < grid || w < grid) return input;
+  Tensor out(Shape{c, grid, grid});
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int g1 = 0; g1 < grid; ++g1) {
+      for (int g2 = 0; g2 < grid; ++g2) {
+        float best = -std::numeric_limits<float>::infinity();
+        for (int64_t y = g1 * h / grid; y < (g1 + 1) * h / grid; ++y) {
+          for (int64_t x = g2 * w / grid; x < (g2 + 1) * w / grid; ++x) {
+            best = std::max(best, input.at((ch * h + y) * w + x));
+          }
+        }
+        out.set((ch * grid + g1) * grid + g2, best);
+      }
+    }
+  }
+  return out;
+}
+
+uint32_t Bits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+TEST(GridMaxPoolTest, MatchesNaiveOracleBitwise) {
+  const float specials[] = {-0.0f, 0.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  Rng rng(11);
+  int checked = 0;
+  for (int64_t c : {1, 3, 256}) {
+    for (int64_t h = 1; h <= 9; ++h) {
+      for (int64_t w = 1; w <= 9; ++w) {
+        for (int grid = 1; grid <= 4; ++grid) {
+          Tensor input = Tensor::RandomGaussian(Shape{c, h, w}, &rng);
+          for (int64_t i = 0; i < input.num_elements(); ++i) {
+            if (rng.NextBool(0.3)) input.set(i, specials[rng.NextUint64(5)]);
+          }
+          const Tensor want = NaiveGridMaxPool(input, grid);
+          auto got = GridMaxPool(input, grid);
+          ASSERT_TRUE(got.ok());
+          ASSERT_EQ(got->shape(), want.shape());
+          // The loop itself appends after what the caller already holds.
+          std::vector<float> appended = {42.0f};
+          ASSERT_TRUE(AppendGridMaxPool(input, grid, &appended).ok());
+          ASSERT_EQ(appended.size(), 1 + static_cast<size_t>(
+                                             want.num_elements()));
+          EXPECT_EQ(appended[0], 42.0f);
+          const bool at_resolution = h == grid && w == grid;
+          for (int64_t i = 0; i < want.num_elements(); ++i) {
+            EXPECT_EQ(Bits(appended[1 + i]), Bits(got->at(i)));
+            if (at_resolution && std::isnan(input.at(i))) {
+              // At the target resolution pooling is the identity now:
+              // NaN passes through where the oracle's 1 x 1 window gave
+              // -inf.
+              EXPECT_TRUE(std::isnan(got->at(i)));
+              EXPECT_EQ(want.at(i), -std::numeric_limits<float>::infinity());
+            } else {
+              ASSERT_EQ(Bits(got->at(i)), Bits(want.at(i)))
+                  << "c=" << c << " h=" << h << " w=" << w
+                  << " grid=" << grid << " i=" << i;
+            }
+          }
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 3 * 9 * 9 * 4);
+}
+
+TEST(GridMaxPoolTest, RejectsBadInput) {
+  EXPECT_FALSE(GridMaxPool(Tensor(Shape{4}), 2).ok());
+  EXPECT_FALSE(GridMaxPool(Tensor(Shape{1, 4, 4}), 0).ok());
+  std::vector<float> out;
+  EXPECT_FALSE(AppendGridMaxPool(Tensor(Shape{2, 3}), 2, &out).ok());
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(FlopsTest, ConvAndFcCounts) {

@@ -1,3 +1,4 @@
+#include <cstring>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -411,6 +412,38 @@ TEST(TransferExtractorTest, AssemblesStructAndPooledFeatures) {
   EXPECT_FLOAT_EQ(label, 1.0f);
   EXPECT_EQ(x.size(), 2u + 8u);
   EXPECT_FLOAT_EQ(x[0], 0.5f);
+}
+
+TEST(TransferExtractorTest, MatchesTransferFeaturizeWithoutAllocating) {
+  // Rank-1, below the target resolution, at it, and pooled (ragged
+  // windows).
+  const std::vector<Shape> shapes = {Shape{10}, Shape{4, 1, 3},
+                                     Shape{8, 2, 2}, Shape{6, 5, 7}};
+  const auto extractor = MakeTransferExtractor(0, 2);
+  Rng rng(21);
+  for (const Shape& shape : shapes) {
+    std::vector<float> x;
+    const float* buffer = nullptr;
+    for (int rec = 0; rec < 4; ++rec) {
+      df::Record r;
+      r.id = rec;
+      r.struct_features = {1.0f, 0.25f * rec, -2.0f};
+      r.features.Append(Tensor::RandomGaussian(shape, &rng));
+      float label = 0;
+      ASSERT_TRUE(extractor(r, &x, &label).ok());
+      auto g = dl::TransferFeaturize(r.features.at(0), 2);
+      ASSERT_TRUE(g.ok());
+      ASSERT_EQ(x.size(), 2 + static_cast<size_t>(g->num_elements()))
+          << shape.ToString();
+      EXPECT_EQ(x[0], 0.25f * rec);
+      EXPECT_EQ(x[1], -2.0f);
+      EXPECT_EQ(0, std::memcmp(x.data() + 2, g->data(), g->num_bytes()))
+          << shape.ToString();
+      // Only the first record of a shape may grow the caller's buffer.
+      if (rec == 0) buffer = x.data();
+      EXPECT_EQ(x.data(), buffer) << shape.ToString() << " record " << rec;
+    }
+  }
 }
 
 TEST(TransferExtractorTest, StructOnlyWhenSlotNegative) {

@@ -4,12 +4,12 @@
 //
 // `--smoke` skips google-benchmark and runs the kernel smoke suite
 // instead: naive-vs-packed GEMM on a conv-shaped 256x1152x196 problem,
+// the implicit-GEMM convs' throughput against that GEMM's,
 // batched-inference thread scaling, the batch-major vs one-image speedup,
 // the transfer featurizer against memcpy, and the scratch-arena reuse
-// counters, written as a machine-readable
-// report (default BENCH_smoke_kernels.json, override with `--out <path>`)
-// — the input to the CI bench-regression gate
-// (scripts/bench_regression.py).
+// counters, written as a machine-readable report (default
+// BENCH_smoke_kernels.json, override with `--out <path>`) — the input to
+// the CI bench-regression gate (scripts/bench_regression.py).
 
 #include <benchmark/benchmark.h>
 
@@ -33,6 +33,7 @@
 #include "tensor/ops.h"
 #include "dl/dag.h"
 #include "features/hog.h"
+#include "oracle/kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/quant.h"
@@ -41,20 +42,6 @@
 
 namespace vista {
 namespace {
-
-void BM_Conv2D3x3(benchmark::State& state) {
-  const int64_t channels = state.range(0);
-  Rng rng(1);
-  Tensor input = Tensor::RandomGaussian(Shape{channels, 32, 32}, &rng);
-  Tensor w = Tensor::RandomGaussian(Shape{channels, channels, 3, 3}, &rng);
-  Tensor b(Shape{channels});
-  for (auto _ : state) {
-    auto out = Conv2D(input, w, b, 1, 1);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Conv2D3x3)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_MicroCnnInference(benchmark::State& state) {
   auto arch = dl::MicroAlexNetArch();
@@ -158,25 +145,13 @@ void BM_OptimizerLatency(benchmark::State& state) {
 BENCHMARK(BM_OptimizerLatency);
 
 
-void BM_Conv2DDirect32(benchmark::State& state) {
-  Rng rng(4);
-  Tensor input = Tensor::RandomGaussian(Shape{16, 32, 32}, &rng);
-  Tensor w = Tensor::RandomGaussian(Shape{16, 16, 3, 3}, &rng);
-  Tensor b(Shape{16});
-  for (auto _ : state) {
-    auto out = Conv2D(input, w, b, 1, 1);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_Conv2DDirect32);
-
 void BM_Conv2DGemm32(benchmark::State& state) {
   Rng rng(4);
   Tensor input = Tensor::RandomGaussian(Shape{16, 32, 32}, &rng);
   Tensor w = Tensor::RandomGaussian(Shape{16, 16, 3, 3}, &rng);
   Tensor b(Shape{16});
   for (auto _ : state) {
-    auto out = Conv2DGemm(input, w, b, 1, 1);
+    auto out = Conv2DGemmImplicit(input, w, b, 1, 1, 1, /*relu=*/false);
     benchmark::DoNotOptimize(out);
   }
 }
@@ -281,12 +256,16 @@ int RunKernelSmoke(int argc, char** argv) {
   bench::Banner("kernels", "packed GEMM and batched inference smoke suite");
   bench::BenchReporter reporter(
       "micro_kernels",
-      "smoke: naive vs packed GEMM (256x1152x196), batched inference "
-      "scaling, featurize vs memcpy, scratch arena reuse");
+      "smoke: naive vs packed GEMM (256x1152x196), implicit conv "
+      "efficiency, batched inference scaling, featurize vs memcpy, scratch "
+      "arena reuse");
   obs::Registry registry;
-  // fp32 packed time on the conv shape; the int8 section below reports its
-  // throughput as a ratio against this.
+  // fp32 packed time and throughput on the conv-shaped GEMM, and the int8
+  // kernel's throughput on it: the int8 and conv sections below report
+  // theirs as ratios against these.
   double fp32_packed_ms = 0.0;
+  double gemm_gflops = 0.0;
+  double gemm_int8_gops = 0.0;
 
   // --- Packed vs naive GEMM on the conv-shaped problem: 256 filters over
   // a 128-channel 3x3 patch matrix (k = 1152) at 14x14 output (n = 196).
@@ -295,20 +274,25 @@ int RunKernelSmoke(int argc, char** argv) {
     Rng rng(1);
     Tensor a = Tensor::RandomGaussian(Shape{m, k}, &rng);
     Tensor b = Tensor::RandomGaussian(Shape{k, n}, &rng);
-    (void)MatMulReference(a, b);  // Warm-up (page-in, arena growth).
-    (void)MatMul(a, b);
+    std::vector<float> c(m * n);
+    KernelScratch& scratch = KernelScratch::ThreadLocal();
+    const auto packed = [&] {
+      GemmPacked(m, n, k, a.data(), k, b.data(), n, c.data(), n,
+                 GemmEpilogue{}, &scratch);
+      benchmark::DoNotOptimize(c.data());
+    };
+    (void)oracle::MatMul(a, b);  // Warm-up (page-in, arena growth).
+    packed();
     const double naive_ms =
-        TimeMs(5, [&] { benchmark::DoNotOptimize(MatMulReference(a, b)); });
-    const int64_t flops_before = GemmFlopsTotal();
-    const double packed_ms =
-        TimeMs(15, [&] { benchmark::DoNotOptimize(MatMul(a, b)); });
+        TimeMs(5, [&] { benchmark::DoNotOptimize(oracle::MatMul(a, b)); });
+    const double packed_ms = TimeMs(15, packed);
     const int64_t flops_per_call = 2 * m * n * k;
     const double gflops = static_cast<double>(flops_per_call) /
                           (packed_ms * 1e-3) / 1e9;
     const double speedup = naive_ms / packed_ms;
     registry.gauge("gemm_gflops")->Set(static_cast<int64_t>(gflops));
-    (void)flops_before;
     fp32_packed_ms = packed_ms;
+    gemm_gflops = gflops;
 
     obs::Json gemm = obs::Json::Object();
     gemm.Set("m", obs::Json::Int(m));
@@ -354,8 +338,9 @@ int RunKernelSmoke(int argc, char** argv) {
         static_cast<double>(2 * m * n * k) / (int8_ms * 1e-3) / 1e9;
     registry.gauge("gemm_gops_int8")->Set(static_cast<int64_t>(gops));
     const double speedup_vs_fp32 = fp32_packed_ms / int8_ms;
+    gemm_int8_gops = gops;
 
-    auto ref = MatMul(a, b);
+    auto ref = oracle::MatMul(a, b);
     double err_sq = 0.0, ref_sq = 0.0;
     for (int64_t i = 0; i < m * n; ++i) {
       const double d = c[i] - ref->at(i);
@@ -384,142 +369,87 @@ int RunKernelSmoke(int argc, char** argv) {
                 rel_l2_error);
   }
 
-  // --- Implicit-GEMM convolution vs the explicit im2col path on a
-  // VGG-style 3x3 conv (64 ch, 112x112, 48 filters — a large-spatial
-  // shape where the materialized 29 MB patch matrix spills the L2 cache,
-  // so the fused packer's single pass over the input shows up as
-  // wall-clock). The gate tracks the machine-independent speedup, the
-  // bit-identity indicator (the implicit packer must reproduce the
-  // materialized expansion's output exactly), and the deterministic
-  // scratch-footprint ratio measured on fresh arenas (explicit = im2col
-  // expansion + packed panels, implicit = panels only).
+  // --- Implicit-GEMM convolution on a VGG-style 3x3 conv (64 ch, 112x112,
+  // 48 filters: a large-spatial shape whose 29 MB patch matrix the packer
+  // gathers without writing). conv_efficiency is the conv's GFLOP/s over
+  // the packed GEMM's on the conv-shaped problem above, both on this one
+  // thread. bit_identical (0/1) requires the output to equal GemmPacked
+  // over the materialized expansion (oracle::Conv2DExplicitGemm) exactly;
+  // that reference is computed once and not timed.
   const int64_t conv_c = 64, conv_hw = 112, conv_f = 48;
   const int conv_k = 3, conv_s = 1, conv_p = 1;
+  const double conv_flops = static_cast<double>(
+      Conv2DFlops(conv_c, conv_f, conv_hw, conv_hw, conv_k));
   Rng conv_rng(6);
   Tensor conv_in =
       Tensor::RandomGaussian(Shape{conv_c, conv_hw, conv_hw}, &conv_rng);
   Tensor conv_w = Tensor::RandomGaussian(
       Shape{conv_f, conv_c, conv_k, conv_k}, &conv_rng);
   Tensor conv_b = Tensor::RandomGaussian(Shape{conv_f}, &conv_rng);
+  const auto same_bytes = [](const Result<Tensor>& x,
+                             const Result<Tensor>& y) {
+    return x.ok() && y.ok() && x->shape() == y->shape() &&
+           std::memcmp(x->data(), y->data(),
+                       static_cast<size_t>(x->num_bytes())) == 0;
+  };
   {
-    const auto ex = [&] {
-      return Conv2DGemmEx(conv_in, conv_w, conv_b, conv_s, conv_p, 1,
-                          /*relu=*/false, nullptr);
-    };
-    const auto im = [&] {
+    const auto conv = [&] {
       return Conv2DGemmImplicit(conv_in, conv_w, conv_b, conv_s, conv_p, 1,
                                 /*relu=*/false);
     };
-    auto ex_out = ex();  // Warm-up + the bit-identity operands.
-    auto im_out = im();
     const bool identical =
-        ex_out.ok() && im_out.ok() &&
-        std::memcmp(ex_out->data(), im_out->data(),
-                    static_cast<size_t>(ex_out->num_elements()) *
-                        sizeof(float)) == 0;
-    const double ex_ms = TimeMs(9, [&] { benchmark::DoNotOptimize(ex()); });
-    const double im_ms = TimeMs(9, [&] { benchmark::DoNotOptimize(im()); });
-    const double speedup = ex_ms / im_ms;
-
-    // Footprint on fresh arenas (deterministic: pure Acquire accounting).
-    const int64_t rows = conv_c * conv_k * conv_k;
-    const int64_t spatial = conv_hw * conv_hw;
-    std::vector<float> c(static_cast<size_t>(conv_f * spatial));
-    KernelScratch implicit_arena;
-    ConvPatchView view;
-    view.input = conv_in.data();
-    view.h = conv_hw;
-    view.w = conv_hw;
-    view.kernel = conv_k;
-    view.stride = conv_s;
-    view.pad = conv_p;
-    view.w_out = conv_hw;
-    GemmPackedConv(conv_f, spatial, rows, conv_w.data(), rows, view,
-                   c.data(), spatial, GemmEpilogue{}, &implicit_arena);
-    auto cols = Im2Col(conv_in, conv_k, conv_s, conv_p, 1);
-    KernelScratch explicit_arena;
-    float* buf = explicit_arena.Acquire(KernelScratch::Slot::kIm2Col,
-                                        static_cast<size_t>(rows * spatial));
-    std::memcpy(buf, cols->data(),
-                static_cast<size_t>(rows * spatial) * sizeof(float));
-    GemmPacked(conv_f, spatial, rows, conv_w.data(), rows, buf, spatial,
-               c.data(), spatial, GemmEpilogue{}, &explicit_arena);
-    const double temp_ratio =
-        static_cast<double>(explicit_arena.peak_bytes()) /
-        static_cast<double>(implicit_arena.peak_bytes());
-
+        same_bytes(conv(), oracle::Conv2DExplicitGemm(
+                               conv_in, conv_w, conv_b, conv_s, conv_p, 1,
+                               /*relu=*/false));
+    const double conv_ms =
+        TimeMs(9, [&] { benchmark::DoNotOptimize(conv()); });
+    const double gflops = conv_flops / (conv_ms * 1e-3) / 1e9;
+    const double efficiency = gflops / gemm_gflops;
     obs::Json ic = obs::Json::Object();
     ic.Set("channels", obs::Json::Int(conv_c));
     ic.Set("hw", obs::Json::Int(conv_hw));
     ic.Set("filters", obs::Json::Int(conv_f));
-    ic.Set("im2col_ms", obs::Json::Num(ex_ms));
-    ic.Set("implicit_ms", obs::Json::Num(im_ms));
-    ic.Set("implicit_speedup_vs_im2col", obs::Json::Num(speedup));
+    ic.Set("implicit_ms", obs::Json::Num(conv_ms));
+    ic.Set("gflops", obs::Json::Num(gflops));
+    ic.Set("conv_efficiency", obs::Json::Num(efficiency));
     ic.Set("bit_identical", obs::Json::Num(identical ? 1.0 : 0.0));
-    ic.Set("implicit_temp_bytes",
-           obs::Json::Int(implicit_arena.peak_bytes()));
-    ic.Set("im2col_temp_bytes", obs::Json::Int(explicit_arena.peak_bytes()));
-    ic.Set("conv_temp_bytes_ratio", obs::Json::Num(temp_ratio));
     reporter.AddSection("implicit_conv", std::move(ic));
-    std::printf("implicit conv 64x112x112 k3: im2col %.2f ms, implicit "
-                "%.2f ms (%.2fx, bit-identical %d, temp ratio %.1fx)\n",
-                ex_ms, im_ms, speedup, identical ? 1 : 0, temp_ratio);
+    std::printf("implicit conv 64x112x112 k3: %.2f ms (%.1f GFLOP/s, "
+                "efficiency %.2f of the packed GEMM, bit-identical %d)\n",
+                conv_ms, gflops, efficiency, identical ? 1 : 0);
   }
 
-  // --- Int8 implicit conv vs the legacy fp32-im2col-then-quantize detour
-  // on the same shape: materialize the expansion, quantize it, run the
-  // memory-sourced int8 kernel — versus quantizing during the gather.
+  // --- The int8 implicit conv on the same shape: quantizes while it
+  // gathers. conv_efficiency is its GOP/s over the int8 GEMM's above;
+  // bit_identical compares it with quantizing the materialized expansion
+  // (oracle::Conv2DExplicitGemmInt8).
   {
     auto qw = QuantizeWeightsPerChannel(conv_w);
     const float act_scale =
         SymmetricScale(MaxAbs(conv_in.data(), conv_in.num_elements()));
-    const int64_t rows = conv_c * conv_k * conv_k;
-    const int64_t spatial = conv_hw * conv_hw;
-    std::vector<float> scales(static_cast<size_t>(conv_f));
-    for (int64_t i = 0; i < conv_f; ++i) {
-      scales[static_cast<size_t>(i)] =
-          qw->scales[static_cast<size_t>(i)] * act_scale;
-    }
-    std::vector<int8_t> cols_q(static_cast<size_t>(rows * spatial));
-    Tensor legacy_out(Shape{conv_f, conv_hw, conv_hw});
-    KernelScratch& scratch = KernelScratch::ThreadLocal();
-    const auto legacy = [&] {
-      auto cols = Im2Col(conv_in, conv_k, conv_s, conv_p, 1);
-      QuantizeSymmetric(cols->data(), rows * spatial, act_scale,
-                        cols_q.data());
-      GemmInt8Epilogue epilogue;
-      epilogue.scale = scales.data();
-      epilogue.bias = conv_b.data();
-      GemmPackedInt8(conv_f, spatial, rows, qw->data.data(), rows,
-                     cols_q.data(), spatial, legacy_out.mutable_data(),
-                     spatial, epilogue, &scratch);
-      benchmark::DoNotOptimize(legacy_out.mutable_data());
-    };
-    const auto implicit = [&] {
+    const auto conv = [&] {
       return Conv2DGemmInt8(conv_in, *qw, conv_b, conv_s, conv_p, 1,
                             /*relu=*/false, act_scale);
     };
-    legacy();  // Warm-up + bit-identity operands.
-    auto im_out = implicit();
     const bool identical =
-        im_out.ok() &&
-        std::memcmp(legacy_out.data(), im_out->data(),
-                    static_cast<size_t>(legacy_out.num_elements()) *
-                        sizeof(float)) == 0;
-    const double legacy_ms = TimeMs(9, legacy);
-    const double im_ms =
-        TimeMs(9, [&] { benchmark::DoNotOptimize(implicit()); });
-    const double speedup = legacy_ms / im_ms;
+        same_bytes(conv(), oracle::Conv2DExplicitGemmInt8(
+                               conv_in, *qw, conv_b, conv_s, conv_p, 1,
+                               /*relu=*/false, act_scale));
+    const double conv_ms =
+        TimeMs(9, [&] { benchmark::DoNotOptimize(conv()); });
+    const double gops = conv_flops / (conv_ms * 1e-3) / 1e9;
+    const double efficiency = gops / gemm_int8_gops;
     obs::Json iq = obs::Json::Object();
     iq.Set("kernel", obs::Json::Str(GemmInt8KernelName()));
-    iq.Set("legacy_ms", obs::Json::Num(legacy_ms));
-    iq.Set("implicit_ms", obs::Json::Num(im_ms));
-    iq.Set("implicit_speedup_vs_im2col", obs::Json::Num(speedup));
+    iq.Set("implicit_ms", obs::Json::Num(conv_ms));
+    iq.Set("gops", obs::Json::Num(gops));
+    iq.Set("conv_efficiency", obs::Json::Num(efficiency));
     iq.Set("bit_identical", obs::Json::Num(identical ? 1.0 : 0.0));
     reporter.AddSection("implicit_conv_int8", std::move(iq));
-    std::printf("implicit conv int8 64x112x112 k3 [%s]: legacy %.2f ms, "
-                "implicit %.2f ms (%.2fx, bit-identical %d)\n",
-                GemmInt8KernelName(), legacy_ms, im_ms, speedup,
+    std::printf("implicit conv int8 64x112x112 k3 [%s]: %.2f ms (%.1f "
+                "GOP/s, efficiency %.2f of the int8 GEMM, bit-identical "
+                "%d)\n",
+                GemmInt8KernelName(), conv_ms, gops, efficiency,
                 identical ? 1 : 0);
   }
 

@@ -46,17 +46,16 @@ BENCHES = {
             # accuracy break fails the gate outright).
             ("gemm_int8_256x1152x196", "speedup_vs_fp32"),
             ("gemm_int8_256x1152x196", "accuracy_within_bound"),
-            # Implicit-GEMM conv vs the explicit im2col path: the speedup
-            # from never materializing the patch matrix, the bit-identity
-            # indicator (0/1: the implicit packer must reproduce the
-            # explicit path's output exactly, so any divergence fails the
-            # gate outright), and the deterministic scratch-footprint
-            # ratio (explicit arena peak / implicit arena peak — pure
-            # Acquire accounting, identical on every machine).
-            ("implicit_conv", "implicit_speedup_vs_im2col"),
+            # Implicit-GEMM conv (fp32 and int8) on a 64x112x112 3x3
+            # conv: its throughput over the packed GEMM's on the
+            # 256x1152x196 problem in the same run, on one thread, and the
+            # bit-identity indicator (0/1: the output must equal the packed
+            # GEMM over the materialized expansion exactly, so any
+            # divergence fails the gate outright). implicit_gemm_test
+            # pins the conv's scratch footprint exactly.
+            ("implicit_conv", "conv_efficiency"),
             ("implicit_conv", "bit_identical"),
-            ("implicit_conv", "conv_temp_bytes_ratio"),
-            ("implicit_conv_int8", "implicit_speedup_vs_im2col"),
+            ("implicit_conv_int8", "conv_efficiency"),
             ("implicit_conv_int8", "bit_identical"),
             ("batched_inference", "efficiency_normalized"),
             # Batch-major inference: one-thread RunRangeBatch of 256
@@ -79,10 +78,10 @@ BENCHES = {
             ("gemm_int8_256x1152x196", "int8_ms"),
             ("gemm_int8_256x1152x196", "gops"),
             ("gemm_int8_256x1152x196", "rel_l2_error"),
-            ("implicit_conv", "im2col_ms"),
             ("implicit_conv", "implicit_ms"),
-            ("implicit_conv_int8", "legacy_ms"),
+            ("implicit_conv", "gflops"),
             ("implicit_conv_int8", "implicit_ms"),
+            ("implicit_conv_int8", "gops"),
             ("batched_inference", "serial_ms"),
             ("batched_inference", "parallel_ms"),
             ("batched_inference", "efficiency_raw"),

@@ -167,6 +167,12 @@ Result<std::vector<Record>> StorageCache::ReadThrough(
   return partition->ReadRecords();
 }
 
+int64_t StorageCache::SerializedBytes(
+    const std::shared_ptr<Partition>& partition) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return partition->memory_bytes_as(PersistenceFormat::kSerialized);
+}
+
 void StorageCache::Touch(Entry* entry) {
   lru_.erase(entry->lru_it);
   lru_.push_front(entry->partition.get());
@@ -185,6 +191,15 @@ const std::vector<Record>* StorageCache::Pin(
     Touch(&it->second);
   }
   return *records;
+}
+
+bool StorageCache::PinSerialized(
+    const std::shared_ptr<Partition>& partition) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!partition->blob().ok()) return false;  // Deserialized or spilled.
+  auto it = entries_.find(partition.get());
+  if (it != entries_.end()) ++it->second.pins;
+  return true;
 }
 
 void StorageCache::Unpin(const std::shared_ptr<Partition>& partition) {

@@ -51,6 +51,11 @@ class StorageCache {
   Result<std::vector<Record>> ReadThrough(
       const std::shared_ptr<Partition>& partition);
 
+  /// `partition`'s Partition::memory_bytes_as(kSerialized), read under the
+  /// cache lock, so that another task's fault-in cannot evict the
+  /// partition while it is measured. 0 while the partition is spilled.
+  int64_t SerializedBytes(const std::shared_ptr<Partition>& partition) const;
+
   /// Lends `partition`'s own records, without copying them, when they are
   /// resident and deserialized. A managed partition is pinned until the
   /// matching Unpin: EvictUntilAvailable skips it, so it stays resident
@@ -60,7 +65,15 @@ class StorageCache {
   /// read those through ReadThrough.
   const std::vector<Record>* Pin(const std::shared_ptr<Partition>& partition);
 
-  /// Ends one loan of a Pin that returned non-null.
+  /// Pins `partition` like Pin when it is resident and serialized, so that
+  /// a zero-decode pass can read its blob in place while other tasks fault
+  /// partitions in. Unlike Pin it neither moves the partition in the LRU
+  /// order nor counts a read. Returns false, pinning nothing, for a
+  /// deserialized or spilled partition.
+  bool PinSerialized(const std::shared_ptr<Partition>& partition);
+
+  /// Ends one loan of a Pin that returned non-null or a PinSerialized that
+  /// returned true.
   void Unpin(const std::shared_ptr<Partition>& partition);
 
   /// Removes a partition from management, releasing memory and any spill.

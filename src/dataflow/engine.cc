@@ -125,16 +125,40 @@ std::vector<WireRef> MergeWireDestination(WireSourceBuckets* sources,
   return out;
 }
 
-/// True when the zero-decode shuffle can run: every partition holds its
-/// serialized blob in memory.
-bool AllSerializedResident(const Table& table) {
-  for (const auto& p : table.partitions) {
-    if (!p->resident() || p->format() != PersistenceFormat::kSerialized) {
-      return false;
+/// Pins every partition of `table` for one zero-decode pass, which reads
+/// their serialized blobs in place: while pinned, no concurrent operation
+/// evicts or restores them. Pins all or none: all() is false, with nothing
+/// pinned, when the table is empty or some partition is not resident and
+/// serialized. Unpins on destruction.
+class SerializedPins {
+ public:
+  SerializedPins(StorageCache* cache, const Table& table)
+      : cache_(cache), table_(table) {
+    for (const auto& p : table.partitions) {
+      if (!cache->PinSerialized(p)) {
+        Unpin();
+        return;
+      }
+      ++pinned_;
     }
   }
-  return !table.partitions.empty();
-}
+  ~SerializedPins() { Unpin(); }
+
+  SerializedPins(const SerializedPins&) = delete;
+  SerializedPins& operator=(const SerializedPins&) = delete;
+
+  bool all() const { return pinned_ > 0; }
+
+ private:
+  void Unpin() {
+    for (size_t i = 0; i < pinned_; ++i) cache_->Unpin(table_.partitions[i]);
+    pinned_ = 0;
+  }
+
+  StorageCache* const cache_;
+  const Table& table_;
+  size_t pinned_ = 0;
+};
 
 /// Wire-view analog of Engine::ShuffleSources: header-scans every source
 /// blob in parallel (same retryable shuffle-send fault semantics, same task
@@ -212,6 +236,19 @@ Status ScanWireSources(ThreadPool* pool, FaultInjector* injector,
   }
   *wire_bytes_out += wire_bytes.load();
   return Status::OK();
+}
+
+/// Wire bytes of one shuffle source: its serialized footprint, read under
+/// the cache lock (free once measured), or, for a spilled source that has
+/// no size in place, the sum over the records just read from it.
+int64_t SourceWireBytes(const StorageCache& cache,
+                        const std::shared_ptr<Partition>& source,
+                        const std::vector<Record>& records) {
+  int64_t bytes = cache.SerializedBytes(source);
+  if (bytes <= 0) {
+    for (const Record& r : records) bytes += SerializedRecordBytes(r);
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -511,14 +548,8 @@ Status Engine::ShuffleSources(
     }
     std::vector<std::vector<Record>>& dest = buckets[i];
     dest.resize(num_destinations);
-    // Wire bytes: the source partition's cached serialized footprint (free
-    // for serialized-resident partitions); per-record fallback for spilled
-    // sources whose size is not measurable in place.
-    int64_t bytes = table.partitions[i]->memory_bytes_as(
-        PersistenceFormat::kSerialized);
-    if (bytes <= 0) {
-      for (const Record& r : *records) bytes += SerializedRecordBytes(r);
-    }
+    const int64_t bytes =
+        SourceWireBytes(*cache_, table.partitions[i], *records);
     for (Record& r : *records) {
       dest[ShuffleHashId(r.id) % num_destinations].push_back(std::move(r));
     }
@@ -540,8 +571,9 @@ Result<Table> Engine::Repartition(const Table& input, int num_partitions) {
   obs::ScopedLatency shuffle_latency(h_shuffle_ms_);
   // Zero-decode path: serialized-resident inputs are moved as byte ranges —
   // header-scan each source, then concatenate each destination's record
-  // bytes in source order. No record is ever materialized.
-  if (AllSerializedResident(input)) {
+  // bytes in source order. No record is ever materialized. The pins hold
+  // the blobs resident until the splice is done.
+  if (const SerializedPins pins(cache_.get(), input); pins.all()) {
     WireSourceBuckets sources;
     int64_t wire_bytes = 0;
     Status scanned = ScanWireSources(
@@ -621,12 +653,9 @@ Result<Table> Engine::Join(const Table& left, const Table& right,
         gather_statuses[i] = records.status();
         return;
       }
-      int64_t bytes = right.partitions[i]->memory_bytes_as(
-          PersistenceFormat::kSerialized);
-      if (bytes <= 0) {
-        for (const Record& r : *records) bytes += SerializedRecordBytes(r);
-      }
-      wire_bytes.fetch_add(bytes, std::memory_order_relaxed);
+      wire_bytes.fetch_add(
+          SourceWireBytes(*cache_, right.partitions[i], *records),
+          std::memory_order_relaxed);
       gathered[i] = std::move(records).value();
     });
     for (const Status& st : gather_statuses) {
@@ -692,11 +721,14 @@ Result<Table> Engine::Join(const Table& left, const Table& right,
   // old serial gather at any parallelism — then hash-join the bucket pair.
   const uint64_t op = NextOpSeq();
   const int np = num_output_partitions;
-  // Zero-decode path: when both sides are resident serialized, shuffle and
-  // join the records as byte ranges and splice the outputs. A blob that
-  // fails verification mid-scan drops to the decoding path below, where
-  // lineage recomputation can rebuild the corrupt partition.
-  if (AllSerializedResident(left) && AllSerializedResident(right)) {
+  // Zero-decode path: when both sides are resident serialized (pinned so
+  // until the outputs are spliced), shuffle and join the records as byte
+  // ranges and splice the outputs. A blob that fails verification mid-scan
+  // drops to the decoding path below, where lineage recomputation can
+  // rebuild the corrupt partition.
+  if (const SerializedPins left_pins(cache_.get(), left),
+      right_pins(cache_.get(), right);
+      left_pins.all() && right_pins.all()) {
     auto joined = SerializedShuffleJoin(left, right, op, np);
     if (joined.ok() || !joined.status().IsDataLoss()) return joined;
   }

@@ -295,10 +295,12 @@ class Engine {
       const char* what,
       std::vector<std::vector<std::vector<Record>>>* buckets_out);
 
-  /// Zero-decode shuffle-hash join for serialized-resident inputs: scans
-  /// record headers into byte-range views, hash-joins the views by id, and
-  /// splices output partitions directly in serialized form. Bit-identical
-  /// output (after ToBlob) to the decoding path at any thread count.
+  /// Zero-decode shuffle-hash join for serialized-resident inputs, which
+  /// the caller keeps pinned (StorageCache::PinSerialized) throughout:
+  /// scans record headers into byte-range views, hash-joins the views by
+  /// id, and splices output partitions directly in serialized form.
+  /// Bit-identical output (after ToBlob) to the decoding path at any
+  /// thread count.
   Result<Table> SerializedShuffleJoin(const Table& left, const Table& right,
                                       uint64_t op, int num_output_partitions);
 

@@ -9,58 +9,18 @@
 
 namespace vista {
 
-class ThreadPool;
-
-/// Dense single-precision matrix multiply: C = A (m x k) * B (k x n),
-/// row-major, written into a fresh tensor. Runs on the blocked, packed
-/// GEMM core (tensor/gemm_kernel.h): register micro-tiling, cache
-/// blocking, and panel packing into the calling thread's scratch arena.
-/// No data-dependent branching, so NaN/Inf propagate exactly as IEEE
-/// arithmetic dictates.
-Result<Tensor> MatMul(const Tensor& a, const Tensor& b);
-
-/// The naive i-k-j triple loop kept as the correctness oracle for the
-/// packed kernel (tests compare against it on random shapes) and as the
-/// baseline the micro benches measure speedup against.
-Result<Tensor> MatMulReference(const Tensor& a, const Tensor& b);
-
-/// im2col expansion of a CHW input for a (kernel x kernel, stride, pad)
-/// convolution over `groups` channel groups: produces, for group `g`, a
-/// matrix of shape (C/groups * kernel * kernel) x (H_out * W_out) laid out
-/// so that the group's filter matrix can be applied with one MatMul.
-/// Returns a rank-3 tensor (groups, C/groups*k*k, H_out*W_out).
-Result<Tensor> Im2Col(const Tensor& input, int kernel, int stride, int pad,
-                      int groups);
-
-/// Convolution as GEMM — an independent implementation of tensor/ops.h's
-/// Conv2D with identical semantics (including groups), differential-tested
-/// against the direct loops. Routes to Conv2DGemmImplicit (no relu), the
-/// path CnnModel runs.
-Result<Tensor> Conv2DGemm(const Tensor& input, const Tensor& weights,
-                          const Tensor& bias, int stride, int pad,
-                          int groups = 1);
-
-/// Explicit im2col + GEMM reference: materializes the patch-matrix
-/// expansion into the thread-local arena (Slot::kIm2Col — this is the only
-/// remaining producer of that slot), then runs each group's packed GEMM
-/// over strided views. `relu` folds max(0, x) into the GEMM's output pass,
-/// and a non-null `pool` distributes each group's GEMM row tiles with
-/// ThreadPool::ParallelFor (safe under nesting; see thread_pool.h).
-/// Kept as the differential-test oracle and bench baseline for the
-/// implicit path below, which is bit-identical by construction.
-Result<Tensor> Conv2DGemmEx(const Tensor& input, const Tensor& weights,
-                            const Tensor& bias, int stride, int pad,
-                            int groups, bool relu, ThreadPool* pool);
-
-/// Convolution as *implicit* GEMM — the hot path. Same semantics and
-/// epilogue as Conv2DGemmEx, but the patch matrix is never materialized:
-/// the GEMM's B-panel packer gathers patch elements straight from the
-/// padded input while packing KC x NC panels (tensor/gemm_kernel.h), so
-/// conv scratch drops from the full C/g*k^2 x H_out*W_out expansion to
-/// the two packed panels. A 1x1/stride-1/pad-0 convolution skips the
-/// gather entirely and feeds the input tensor to the packed GEMM in
-/// place. Output is bit-identical to Conv2DGemmEx: the packed panels are
-/// byte-identical, so the accumulation order is unchanged.
+/// Convolution as *implicit* GEMM: K filters of shape (C/groups, k, k)
+/// over a CHW input with zero padding `pad` on all sides and a square
+/// stride, plus a per-filter bias and, when `relu`, max(0, x), both fused
+/// into the GEMM epilogue. `groups` > 1 splits the input channels into
+/// `groups` contiguous blocks, one per block of K/groups filters. The
+/// patch matrix is never materialized: the GEMM's B-panel packer gathers
+/// patch elements straight from the padded input while packing KC x NC
+/// panels (tensor/gemm_kernel.h), so conv scratch is the two packed panels.
+/// A 1x1/stride-1/pad-0 convolution skips the gather entirely and feeds
+/// the input tensor to the packed GEMM in place. Output is bit-identical
+/// to GemmPacked over the materialized expansion, and close to the direct
+/// loops (oracle/kernels.h has both).
 ///
 /// `input` is one CHW image, or a channel-major group of N images of
 /// shape (C, N, H, W) (channel c of image i is the plane [c][i]); a group
@@ -92,9 +52,9 @@ Result<Tensor> Conv2DGemmInt8(const Tensor& input, const QuantizedWeights& qw,
 /// (in, N) matrix whose column i is vector i, giving (out) or (out, N):
 /// one GEMM with N columns, so the weight panel is packed once per group
 /// instead of once per vector. Accumulates in fp32 over K panels, so it
-/// matches ops.h's double-accumulating FullyConnected (the test oracle)
-/// within the mixed tolerance the GEMM tests use, and each column is
-/// bit-identical whatever N is.
+/// matches the double-accumulating oracle::FullyConnected within the mixed
+/// tolerance the GEMM tests use, and each column is bit-identical whatever
+/// N is.
 Result<Tensor> FullyConnectedGemm(const Tensor& input, const Tensor& weights,
                                   const Tensor& bias, bool relu);
 

@@ -9,9 +9,10 @@ namespace vista {
 
 class ThreadPool;
 
-/// Blocked, packed single-precision GEMM — the compute core under MatMul,
-/// Conv2DGemm and FullyConnectedGemm (BLIS-style: register micro-tile, L1/L2 cache blocking,
-/// panel packing into a reusable scratch arena).
+/// Blocked, packed single-precision GEMM — the compute core under
+/// Conv2DGemmImplicit and FullyConnectedGemm (BLIS-style: register
+/// micro-tile, L1/L2 cache blocking, panel packing into a reusable scratch
+/// arena).
 ///
 /// Register micro-tile: each micro-kernel invocation accumulates a
 /// kGemmMR x kGemmNR block of C in local accumulators; the inner loops are
@@ -48,8 +49,8 @@ void GemmPacked(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 ///
 /// Geometry of one convolution group's *implicit* patch matrix over a
 /// group of images: the (C/g * kernel * kernel) x (images * H_out * W_out)
-/// im2col expansion that the explicit path materializes, described instead
-/// by the mapping
+/// im2col expansion (oracle::Im2Col writes it out for one image), described
+/// instead by the mapping
 ///   B[r][q] = input[c][i][oy*stride - pad + ky][ox*stride - pad + kx]
 /// with r = (c, ky, kx) row-major over (channel, kernel-y, kernel-x) and
 /// q = (i, oy, ox) row-major over (image, output row, output column);
@@ -162,10 +163,10 @@ void GemmPackedInt8(int64_t m, int64_t n, int64_t k, const int8_t* a,
 /// patch matrix and quantized *during* panel packing: each gathered value
 /// is quantized exactly as QuantizeSymmetric (round-to-nearest-even of
 /// value / act_scale, saturating; act_scale <= 0 quantizes to zeros) and
-/// stored biased to unsigned (+128, the vpdpbusd convention). Replaces the
-/// fp32-im2col-then-quantize detour: int32 accumulators are bit-identical
-/// to quantizing a materialized expansion and calling GemmPackedInt8 on
-/// it, with neither the expansion nor the quantized copy ever written.
+/// stored biased to unsigned (+128, the vpdpbusd convention). Int32
+/// accumulators are bit-identical to quantizing a materialized expansion
+/// and calling GemmPackedInt8 on it, with neither the expansion nor the
+/// quantized copy ever written.
 void GemmPackedConvInt8(int64_t m, int64_t n, int64_t k, const int8_t* a,
                         int64_t lda, const ConvPatchView& b, float act_scale,
                         float* c, int64_t ldc,

@@ -34,86 +34,6 @@ bool AtOrBelowGrid(int64_t h, int64_t w, int grid) {
   return h < grid || w < grid || (h == grid && w == grid);
 }
 
-}  // namespace
-
-Result<Tensor> Conv2D(const Tensor& input, const Tensor& weights,
-                      const Tensor& bias, int stride, int pad, int groups) {
-  VISTA_RETURN_IF_ERROR(ExpectRank(input, 3, "Conv2D input"));
-  VISTA_RETURN_IF_ERROR(ExpectRank(weights, 4, "Conv2D weights"));
-  VISTA_RETURN_IF_ERROR(ExpectRank(bias, 1, "Conv2D bias"));
-  if (stride < 1 || pad < 0 || groups < 1) {
-    return Status::InvalidArgument("Conv2D: bad stride/pad/groups");
-  }
-  const int64_t c_in = input.shape().dim(0);
-  const int64_t h = input.shape().dim(1);
-  const int64_t w = input.shape().dim(2);
-  const int64_t k = weights.shape().dim(0);
-  const int64_t r = weights.shape().dim(2);
-  const int64_t s = weights.shape().dim(3);
-  if (c_in % groups != 0 || k % groups != 0) {
-    return Status::InvalidArgument(
-        "Conv2D: channels not divisible by groups");
-  }
-  const int64_t c_per_group = c_in / groups;
-  if (weights.shape().dim(1) != c_per_group) {
-    return Status::InvalidArgument(
-        "Conv2D: weight channel dim " +
-        std::to_string(weights.shape().dim(1)) + " != input channels/groups " +
-        std::to_string(c_per_group));
-  }
-  if (bias.shape().dim(0) != k) {
-    return Status::InvalidArgument("Conv2D: bias length != filter count");
-  }
-  if (r > h + 2 * pad || s > w + 2 * pad) {
-    return Status::InvalidArgument("Conv2D: kernel larger than padded input " +
-                                   input.shape().ToString());
-  }
-  const int64_t h_out = (h + 2 * pad - r) / stride + 1;
-  const int64_t w_out = (w + 2 * pad - s) / stride + 1;
-  if (h_out <= 0 || w_out <= 0) {
-    return Status::InvalidArgument("Conv2D: output would be empty for input " +
-                                   input.shape().ToString());
-  }
-
-  Tensor out(Shape{k, h_out, w_out});
-  float* o = out.mutable_data();
-  const float* in = input.data();
-  const float* wt = weights.data();
-  const float* b = bias.data();
-
-  const int64_t k_per_group = k / groups;
-  for (int64_t f = 0; f < k; ++f) {
-    const float* wf = wt + f * c_per_group * r * s;
-    const int64_t group_c0 = (f / k_per_group) * c_per_group;
-    for (int64_t oy = 0; oy < h_out; ++oy) {
-      const int64_t iy0 = oy * stride - pad;
-      for (int64_t ox = 0; ox < w_out; ++ox) {
-        const int64_t ix0 = ox * stride - pad;
-        float acc = b[f];
-        for (int64_t c = 0; c < c_per_group; ++c) {
-          const float* in_c = in + (group_c0 + c) * h * w;
-          const float* w_c = wf + c * r * s;
-          for (int64_t ky = 0; ky < r; ++ky) {
-            const int64_t iy = iy0 + ky;
-            if (iy < 0 || iy >= h) continue;
-            const float* in_row = in_c + iy * w;
-            const float* w_row = w_c + ky * s;
-            for (int64_t kx = 0; kx < s; ++kx) {
-              const int64_t ix = ix0 + kx;
-              if (ix < 0 || ix >= w) continue;
-              acc += in_row[ix] * w_row[kx];
-            }
-          }
-        }
-        o[(f * h_out + oy) * w_out + ox] = acc;
-      }
-    }
-  }
-  return out;
-}
-
-namespace {
-
 enum class PoolKind { kMax, kAvg };
 
 Result<Tensor> Pool2D(const Tensor& input, int window, int stride, int pad,
@@ -209,34 +129,6 @@ Tensor Relu(Tensor input) {
   float* o = out.mutable_data();
   const int64_t n = out.num_elements();
   for (int64_t i = 0; i < n; ++i) o[i] = std::max(0.0f, o[i]);
-  return out;
-}
-
-Result<Tensor> FullyConnected(const Tensor& input, const Tensor& weights,
-                              const Tensor& bias) {
-  VISTA_RETURN_IF_ERROR(ExpectRank(weights, 2, "FullyConnected weights"));
-  VISTA_RETURN_IF_ERROR(ExpectRank(bias, 1, "FullyConnected bias"));
-  const int64_t out_dim = weights.shape().dim(0);
-  const int64_t in_dim = weights.shape().dim(1);
-  if (input.num_elements() != in_dim) {
-    return Status::InvalidArgument(
-        "FullyConnected: input has " + std::to_string(input.num_elements()) +
-        " elements, weights expect " + std::to_string(in_dim));
-  }
-  if (bias.shape().dim(0) != out_dim) {
-    return Status::InvalidArgument("FullyConnected: bias length mismatch");
-  }
-  Tensor out(Shape{out_dim});
-  const float* x = input.data();
-  const float* w = weights.data();
-  const float* b = bias.data();
-  float* o = out.mutable_data();
-  for (int64_t r = 0; r < out_dim; ++r) {
-    const float* wr = w + r * in_dim;
-    double acc = b[r];
-    for (int64_t c = 0; c < in_dim; ++c) acc += wr[c] * x[c];
-    o[r] = static_cast<float>(acc);
-  }
   return out;
 }
 

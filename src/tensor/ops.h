@@ -17,21 +17,9 @@ namespace vista {
 /// batched inference runs on (tensor/gemm.h) — and treat each record
 /// exactly as they treat a single one.
 ///
-/// All kernels are pure reference implementations: straightforward loops,
-/// verified by tests against hand-computed results. They are fast enough for
-/// the scaled-down "micro" CNNs used in tests/examples; cluster-scale cost
-/// is handled analytically by the simulator.
-
-/// 2-D convolution of a CHW input with KCRS weights (K filters of size
-/// C x R x S), plus a per-filter bias of length K. Zero padding `pad` on all
-/// sides, square stride. Output is K x H' x W' with
-/// H' = (H + 2*pad - R)/stride + 1 (and similarly W').
-/// `groups` > 1 selects grouped convolution: input channels are split into
-/// `groups` contiguous blocks and filter k reads only block k*groups/K
-/// (weights then have shape K x C/groups x R x S), as in AlexNet.
-Result<Tensor> Conv2D(const Tensor& input, const Tensor& weights,
-                      const Tensor& bias, int stride, int pad,
-                      int groups = 1);
+/// Convolution and fully connected layers run on the packed GEMM
+/// (tensor/gemm.h); the ops here are plain loops, verified by tests against
+/// hand-computed results.
 
 /// Max pooling with a square window and stride over a CHW input.
 Result<Tensor> MaxPool2D(const Tensor& input, int window, int stride,
@@ -49,13 +37,6 @@ Result<Tensor> GlobalAvgPool(const Tensor& input);
 /// the input's buffer when the caller hands over its only reference
 /// (Tensor::Unshared), and copies otherwise.
 Tensor Relu(Tensor input);
-
-/// Fully connected layer: y = W x + b with W of shape (out, in), x rank-1,
-/// accumulated in double. The test oracle for tensor/gemm.h's
-/// FullyConnectedGemm, which is what inference runs; src/ no longer calls
-/// this loop.
-Result<Tensor> FullyConnected(const Tensor& input, const Tensor& weights,
-                              const Tensor& bias);
 
 /// Inference-mode batch normalization over channels of a CHW input:
 /// y_c = scale_c * x_c + shift_c (scale/shift fold mean/variance).

@@ -8,8 +8,8 @@ namespace vista {
 
 /// Reusable, cache-line-aligned scratch buffers for the tensor kernels.
 ///
-/// A KernelScratch owns one growable buffer per slot (im2col expansion,
-/// packed A panel, packed B panel). Acquire() returns a pointer with at
+/// A KernelScratch owns one growable buffer per slot (packed A and B
+/// panels, int8 staging buffers). Acquire() returns a pointer with at
 /// least the requested capacity, growing geometrically on miss and reusing
 /// the existing allocation on hit — so a CNN forward pass performs a fixed
 /// number of allocations on the first image (the warm-up) and zero on every
@@ -19,24 +19,19 @@ namespace vista {
 /// never share one across threads; each thread uses its own arena via
 /// ThreadLocal(). Buffers returned by Acquire() stay valid until the next
 /// Acquire() of the *same* slot (a grow may reallocate), so a kernel may
-/// hold the im2col buffer while packing panels.
+/// hold its scales buffer while packing panels.
 class KernelScratch {
  public:
   enum class Slot : int {
-    /// Materialized im2col expansion. Only the explicit reference path
-    /// (Conv2DGemmEx, the differential-test oracle) still writes this
-    /// slot; the implicit-GEMM hot path gathers patches during B-panel
-    /// packing and never touches it.
-    kIm2Col = 0,
-    kPackA = 1,
-    kPackB = 2,
+    kPackA = 0,
+    kPackB = 1,
     // Int8 inference plane: packed int8 A/B panels, the quantized
     // activation staging buffer, and per-row combined dequant scales.
-    kPackAInt8 = 3,
-    kPackBInt8 = 4,
-    kQuantAct = 5,
-    kScales = 6,
-    kNumSlots = 7,
+    kPackAInt8 = 2,
+    kPackBInt8 = 3,
+    kQuantAct = 4,
+    kScales = 5,
+    kNumSlots = 6,
   };
 
   KernelScratch() = default;

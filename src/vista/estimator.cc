@@ -33,12 +33,9 @@ int64_t ImplicitPanelBytes(int64_t m, int64_t n, int64_t k, bool int8) {
 }
 
 /// Scratch bytes for one convolution over `images` (c, h, w) inputs.
-/// `materialized` adds the legacy explicit-path buffers: the fp32 im2col
-/// expansion (Slot::kIm2Col) and, for int8, the quantized staging copy
-/// (Slot::kQuantAct).
 int64_t SingleConvTemp(int64_t c, int64_t h, int64_t w, int kernel,
                        int stride, int pad, int groups, int64_t oc,
-                       int64_t images, bool int8, bool materialized) {
+                       int64_t images, bool int8) {
   if (groups < 1) groups = 1;
   if (kernel < 1 || stride < 1 || c <= 0 || oc <= 0) return 0;
   const int64_t rows = (c / groups) * kernel * kernel;
@@ -48,10 +45,6 @@ int64_t SingleConvTemp(int64_t c, int64_t h, int64_t w, int kernel,
   const int64_t cols = images * h_out * w_out;
   int64_t bytes = ImplicitPanelBytes(oc / groups, cols, rows, int8);
   if (int8) bytes += oc * 4;  // Combined dequant scales (Slot::kScales).
-  if (materialized) {
-    bytes += groups * rows * cols * 4;
-    if (int8) bytes += RoundUpTo(groups * rows * cols, 4);
-  }
   return bytes;
 }
 
@@ -59,7 +52,7 @@ int64_t SingleConvTemp(int64_t c, int64_t h, int64_t w, int kernel,
 /// inputs. Bottleneck-internal convs stay fp32 at any workload precision
 /// (ApplyPrimitive quantizes only standalone conv/fc primitives).
 int64_t OpConvTempBytes(const dl::OpSpec& op, const Shape& in,
-                        int64_t images, bool int8, bool materialized) {
+                        int64_t images, bool int8) {
   if (op.kind == dl::OpKind::kFc) {
     const int64_t in_dim = in.num_elements();
     int64_t bytes = ImplicitPanelBytes(op.out_channels, images, in_dim, int8);
@@ -75,24 +68,21 @@ int64_t OpConvTempBytes(const dl::OpSpec& op, const Shape& in,
     case dl::OpKind::kConv:
       return SingleConvTemp(c, h, w, op.kernel, op.stride, op.pad,
                             std::max(1, op.groups), op.out_channels, images,
-                            int8, materialized);
+                            int8);
     case dl::OpKind::kBottleneck: {
       const int64_t mid = op.mid_channels;
       const int64_t out = op.out_channels;
       const int64_t h1 = (h - 1) / op.stride + 1;
       const int64_t w1 = (w - 1) / op.stride + 1;
       int64_t peak = SingleConvTemp(c, h, w, 1, op.stride, 0, 1, mid, images,
-                                    /*int8=*/false, materialized);
+                                    /*int8=*/false);
       peak = std::max(peak, SingleConvTemp(mid, h1, w1, 3, 1, 1, 1, mid,
-                                           images, /*int8=*/false,
-                                           materialized));
+                                           images, /*int8=*/false));
       peak = std::max(peak, SingleConvTemp(mid, h1, w1, 1, 1, 0, 1, out,
-                                           images, /*int8=*/false,
-                                           materialized));
+                                           images, /*int8=*/false));
       if (op.project) {
         peak = std::max(peak, SingleConvTemp(c, h, w, 1, op.stride, 0, 1,
-                                             out, images, /*int8=*/false,
-                                             materialized));
+                                             out, images, /*int8=*/false));
       }
       return peak;
     }
@@ -101,8 +91,10 @@ int64_t OpConvTempBytes(const dl::OpSpec& op, const Shape& in,
   }
 }
 
-int64_t LayerConvTemp(const dl::CnnArchitecture& arch, int layer_index,
-                      dl::Precision precision, bool materialized) {
+}  // namespace
+
+int64_t ConvTempBytes(const dl::CnnArchitecture& arch, int layer_index,
+                      dl::Precision precision) {
   if (layer_index < 0 || layer_index >= arch.num_layers()) return 0;
   Shape in = layer_index == 0 ? arch.input_shape()
                               : arch.layer(layer_index - 1).output_shape;
@@ -110,25 +102,12 @@ int64_t LayerConvTemp(const dl::CnnArchitecture& arch, int layer_index,
   const int64_t images = arch.layer(layer_index).group_images;
   int64_t peak = 0;
   for (const dl::OpSpec& op : arch.layer_spec(layer_index).ops) {
-    peak = std::max(peak,
-                    OpConvTempBytes(op, in, images, int8, materialized));
+    peak = std::max(peak, OpConvTempBytes(op, in, images, int8));
     auto stat = dl::AnalyzeOp(op, in);
     if (!stat.ok()) break;  // Built architectures never hit this.
     in = stat->output_shape;
   }
   return peak;
-}
-
-}  // namespace
-
-int64_t ConvTempBytes(const dl::CnnArchitecture& arch, int layer_index,
-                      dl::Precision precision) {
-  return LayerConvTemp(arch, layer_index, precision, /*materialized=*/false);
-}
-
-int64_t ConvIm2ColTempBytes(const dl::CnnArchitecture& arch, int layer_index,
-                            dl::Precision precision) {
-  return LayerConvTemp(arch, layer_index, precision, /*materialized=*/true);
 }
 
 int64_t LayerFeatureBytes(const dl::CnnArchitecture& arch, int layer_index,
@@ -159,9 +138,8 @@ Result<SizeEstimates> EstimateSizes(const RosterEntry& entry,
   est.t_img_tensor_bytes =
       n * (8 + 8 + entry.arch.input_shape().num_bytes());
 
-  // Materialized intermediates carry features at the workload's inference
-  // precision (int8 features are exactly 1/4 the bytes); the record-key
-  // and field-header overheads do not shrink.
+  // Features are charged at the workload's inference precision (see
+  // LayerFeatureBytes); the record-key and field-header overheads are not.
   int64_t eager_record_payload = 0;
   for (int l : workload.layers) {
     const int64_t feature_bytes =
@@ -186,8 +164,7 @@ Result<SizeEstimates> EstimateSizes(const RosterEntry& entry,
 
   // Peak UDF (input + output) record buffers across staged hops. These
   // stay fp32 regardless of workload precision: the int8 path keeps layer
-  // boundaries (the tensors a UDF holds in flight) in fp32 and only
-  // materialized/serialized features shrink.
+  // boundaries (the tensors a UDF holds in flight) in fp32.
   const int64_t img_record = entry.arch.input_shape().num_bytes();
   int64_t peak_udf =
       img_record + LayerFeatureBytes(entry.arch, workload.layers[0]);
@@ -206,17 +183,12 @@ Result<SizeEstimates> EstimateSizes(const RosterEntry& entry,
 
   // Eq. 16 Temp term: staged inference runs every logical layer from the
   // image through max(L), so the per-thread conv scratch high-water is the
-  // max over that range — implicit-GEMM packed panels on the hot path,
-  // with the legacy materialized-im2col figure alongside for A/B
-  // accounting and the footprint-reduction ratio.
+  // max over that range.
   const int max_layer =
       *std::max_element(workload.layers.begin(), workload.layers.end());
   for (int l = 0; l <= max_layer; ++l) {
     est.conv_temp_bytes = std::max(
         est.conv_temp_bytes, ConvTempBytes(entry.arch, l, workload.precision));
-    est.conv_temp_im2col_bytes =
-        std::max(est.conv_temp_im2col_bytes,
-                 ConvIm2ColTempBytes(entry.arch, l, workload.precision));
   }
 
   est.s_single = *std::max_element(est.t_i_bytes.begin(),

@@ -54,11 +54,6 @@ struct SizeEstimates {
   /// conv and packed FC paths at each layer's group size. Multiply by the
   /// thread count for a per-node figure.
   int64_t conv_temp_bytes = 0;
-  /// The same walk under the legacy materialized-im2col conv path (full
-  /// patch-matrix expansion + panels, plus the int8 staging copy). Kept
-  /// for A/B accounting (OptimizerParams::materialized_im2col) and as the
-  /// footprint-reduction denominator the benches report.
-  int64_t conv_temp_im2col_bytes = 0;
 };
 
 /// Fudge factor for the blowup of binary feature vectors as managed-heap
@@ -73,9 +68,10 @@ Result<SizeEstimates> EstimateSizes(const RosterEntry& entry,
                                     double alpha = kDefaultAlpha);
 
 /// Per-record bytes of the full feature tensor of `layer_index` at the
-/// given inference precision: 4 bytes/element for fp32, exactly 1/4 of
-/// that (1 byte/element) for int8 — quantized intermediates are what the
-/// optimizer sizes when the workload runs int8.
+/// given inference precision: 4 bytes/element for fp32 and 1 byte/element
+/// for int8. The int8 figure assumes feature layers stored as int8; the
+/// executor still stores them as fp32 (see ROADMAP.md, "Store int8 feature
+/// layers as int8"), so at int8 this undercounts materialized tables 4x.
 int64_t LayerFeatureBytes(const dl::CnnArchitecture& arch, int layer_index,
                           dl::Precision precision = dl::Precision::kFp32);
 
@@ -89,13 +85,6 @@ int64_t LayerFeatureBytes(const dl::CnnArchitecture& arch, int layer_index,
 /// acquire them. Layers without a conv or FC return 0.
 int64_t ConvTempBytes(const dl::CnnArchitecture& arch, int layer_index,
                       dl::Precision precision = dl::Precision::kFp32);
-
-/// The same walk under the legacy materialized-im2col path: the full
-/// C/g*k^2 x H_out*W_out expansion (plus the quantize staging copy for
-/// int8) on top of the packed panels — what Temp accounting charged before
-/// the conv kernels went implicit.
-int64_t ConvIm2ColTempBytes(const dl::CnnArchitecture& arch, int layer_index,
-                            dl::Precision precision = dl::Precision::kFp32);
 
 /// Downstream-model memory footprint |M|_mem: proportional to the total
 /// feature dimensionality (structured + the largest pooled CNN layer in L),

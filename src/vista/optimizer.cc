@@ -61,17 +61,13 @@ Result<OptimizerDecisions> OptimizeFeatureTransfer(
     const int64_t partition_bytes = (udf_table_bytes + np - 1) / np;
 
     // Eq. 11: DL Execution Memory, plus the Eq. 16 Temp term — each
-    // inference thread holds the conv kernel's scratch on top of the
-    // runtime footprint: packed GEMM panels under implicit GEMM, or the
-    // full materialized im2col expansion under the legacy flag.
-    const int64_t conv_temp = params.materialized_im2col
-                                  ? est.conv_temp_im2col_bytes
-                                  : est.conv_temp_bytes;
+    // inference thread holds the conv kernels' packed GEMM panels on top
+    // of the runtime footprint.
     int64_t mem_dl = static_cast<int64_t>(x) * f_mem;
     if (params.model_in_dl_memory) {
       mem_dl = std::max(mem_dl, static_cast<int64_t>(x) * model_mem);
     }
-    mem_dl += static_cast<int64_t>(x) * conv_temp;
+    mem_dl += static_cast<int64_t>(x) * est.conv_temp_bytes;
 
     const int64_t mem_worker =
         env.node_memory_bytes - params.mem_os_rsv - mem_dl;

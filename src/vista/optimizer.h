@@ -30,12 +30,6 @@ struct OptimizerParams {
   /// True when the downstream model M executes inside the DL system
   /// (e.g. an MLP trained by the DL system) rather than in PD User memory.
   bool model_in_dl_memory = false;
-  /// Charge DL Execution Memory for the legacy materialized-im2col conv
-  /// path (full patch-matrix expansion per thread) instead of the
-  /// implicit-GEMM packed panels. Exists for A/B accounting and to test
-  /// that the Eq. 16 Temp term actually moves plan choices; production
-  /// kernels run implicit, so leave this false.
-  bool materialized_im2col = false;
 };
 
 /// The decisions Vista sets (Table 1(B)).

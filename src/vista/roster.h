@@ -65,8 +65,8 @@ struct TransferWorkload {
   DownstreamModel model = DownstreamModel::kLogisticRegression;
   int training_iterations = 10;
   /// Inference precision for the transfer: int8 runs the quantized kernel
-  /// path and shrinks every materialized intermediate 4x, which the size
-  /// estimator and optimizer account for (it can flip plan decisions).
+  /// path. The size estimator charges int8 feature layers 1 byte/element
+  /// (see LayerFeatureBytes), which can flip plan decisions.
   dl::Precision precision = dl::Precision::kFp32;
 
   /// Builds the workload for "explore the top |L| layers of f" — the

@@ -176,6 +176,36 @@ TEST(StorageCacheTest, EvictsLruToDiskUnderPressure) {
   }
 }
 
+// A blob pinned for a zero-decode pass stays resident under pressure:
+// eviction skips it, so an incoming partition spills instead. Only a
+// resident serialized partition pins that way.
+TEST(StorageCacheTest, PinSerializedKeepsABlobResident) {
+  auto a = std::make_shared<Partition>(MakeRecords(20));
+  auto b = std::make_shared<Partition>(MakeRecords(20));
+  ASSERT_TRUE(a->ConvertTo(PersistenceFormat::kSerialized).ok());
+  ASSERT_TRUE(b->ConvertTo(PersistenceFormat::kSerialized).ok());
+  MemoryBudgets budgets;
+  budgets.storage = a->memory_bytes();  // Room for one of the two.
+  MemoryManager mem(budgets);
+  obs::Registry metrics;
+  SpillManager spill("/tmp/vista_test_spill_pin", metrics);
+  StorageCache cache(&mem, &spill, /*allow_spill=*/true, nullptr, metrics);
+  ASSERT_TRUE(cache.Insert(a).ok());
+  ASSERT_TRUE(cache.PinSerialized(a));
+  ASSERT_TRUE(cache.Insert(b).ok());
+  EXPECT_TRUE(a->resident());
+  EXPECT_FALSE(b->resident());
+  cache.Unpin(a);
+  // Unpinned, a gives way when b faults back in.
+  ASSERT_TRUE(cache.ReadThrough(b).ok());
+  EXPECT_FALSE(a->resident());
+  EXPECT_TRUE(b->resident());
+  EXPECT_FALSE(cache.PinSerialized(a));  // Spilled.
+  EXPECT_FALSE(cache.PinSerialized(
+      std::make_shared<Partition>(MakeRecords(5))));  // Deserialized.
+  spill.WaitDrained();
+}
+
 TEST(StorageCacheTest, MemoryOnlyModeCrashes) {
   MemoryBudgets budgets;
   budgets.storage = 2000;
@@ -451,6 +481,62 @@ TEST(EngineTest, ShuffleJoinCountsShuffledBytes) {
       engine.Join(*left, *right, JoinStrategy::kShuffleHash, 4).ok());
   EXPECT_GT(RegisteredCounter(engine.metrics(), "engine.shuffle_bytes"), 0);
   EXPECT_EQ(RegisteredCounter(engine.metrics(), "engine.broadcast_bytes"), 0);
+}
+
+// A join meters each source's serialized size as its wire bytes. Under a
+// Storage budget of about two partitions, the source reads of a persisted
+// table fault partitions back in and evict each other while other tasks
+// are measuring them. The metered bytes must not depend on that: both
+// joins meter exactly what they meter with unlimited Storage.
+TEST(EngineTest, JoinMetersWireBytesWhileSourceReadsEvictEachOther) {
+  const std::vector<Record> left_rows = MakeRecords(240);
+  const std::vector<Record> right_rows = MakeRecords(240, 4, 0.5);
+  int64_t two_partitions = 0;
+  {
+    Engine sizing(SmallEngineConfig());
+    two_partitions = 2 * sizing.MakeTable(right_rows, 8)->partitions[0]
+                             ->memory_bytes();
+  }
+  struct Metered {
+    int64_t shuffle = 0;
+    int64_t broadcast = 0;
+    int64_t evictions = 0;
+  };
+  const auto join = [&](int64_t storage, JoinStrategy strategy) {
+    EngineConfig config = SmallEngineConfig();
+    config.budgets.storage = storage;
+    Engine engine(config);
+    auto left = engine.MakeTable(left_rows, 8);
+    auto right = engine.MakeTable(right_rows, 8);
+    EXPECT_TRUE(left.ok() && right.ok());
+    EXPECT_TRUE(
+        engine.Persist(&*right, PersistenceFormat::kDeserialized).ok());
+    const int64_t evictions =
+        RegisteredCounter(engine.metrics(), "cache.evictions");
+    auto joined = engine.Join(*left, *right, strategy, 8);
+    EXPECT_TRUE(joined.ok()) << joined.status().ToString();
+    EXPECT_EQ(joined->num_records(), 240);
+    Metered m;
+    m.shuffle = RegisteredCounter(engine.metrics(), "engine.shuffle_bytes");
+    m.broadcast =
+        RegisteredCounter(engine.metrics(), "engine.broadcast_bytes");
+    m.evictions =
+        RegisteredCounter(engine.metrics(), "cache.evictions") - evictions;
+    engine.Unpersist(&*right);
+    return m;
+  };
+  for (JoinStrategy strategy :
+       {JoinStrategy::kShuffleHash, JoinStrategy::kBroadcast}) {
+    const Metered unlimited = join(-1, strategy);
+    const Metered tight = join(two_partitions, strategy);
+    EXPECT_EQ(unlimited.evictions, 0);
+    EXPECT_GT(tight.evictions, 0) << "the source reads never evicted";
+    EXPECT_EQ(tight.shuffle, unlimited.shuffle)
+        << JoinStrategyToString(strategy);
+    EXPECT_EQ(tight.broadcast, unlimited.broadcast)
+        << JoinStrategyToString(strategy);
+    EXPECT_GT(unlimited.shuffle + unlimited.broadcast, 0);
+  }
 }
 
 // Every counter, gauge and histogram of `registry` with its value, for

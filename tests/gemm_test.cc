@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "oracle/kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
@@ -13,6 +14,17 @@
 
 namespace vista {
 namespace {
+
+/// C = A (m x k) * B (k x n) on the packed GEMM, into a fresh tensor.
+Tensor PackedMatMul(const Tensor& a, const Tensor& b) {
+  const int64_t m = a.shape().dim(0);
+  const int64_t k = a.shape().dim(1);
+  const int64_t n = b.shape().dim(1);
+  Tensor c(Shape{m, n});
+  GemmPacked(m, n, k, a.data(), k, b.data(), n, c.mutable_data(), n,
+             GemmEpilogue{}, &KernelScratch::ThreadLocal());
+  return c;
+}
 
 /// FMA contraction and the packed kernel's reordered summation differ from
 /// the naive oracle by ~eps per accumulated term, which on catastrophic
@@ -34,13 +46,12 @@ void ExpectGemmClose(const Tensor& ref, const Tensor& got, int64_t k) {
 TEST(MatMulTest, HandComputed) {
   Tensor a(Shape{2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor b(Shape{3, 2}, {7, 8, 9, 10, 11, 12});
-  auto c = MatMul(a, b);
-  ASSERT_TRUE(c.ok());
-  ASSERT_EQ(c->shape(), (Shape{2, 2}));
-  EXPECT_FLOAT_EQ(c->at(0), 58);
-  EXPECT_FLOAT_EQ(c->at(1), 64);
-  EXPECT_FLOAT_EQ(c->at(2), 139);
-  EXPECT_FLOAT_EQ(c->at(3), 154);
+  const Tensor c = PackedMatMul(a, b);
+  ASSERT_EQ(c.shape(), (Shape{2, 2}));
+  EXPECT_FLOAT_EQ(c.at(0), 58);
+  EXPECT_FLOAT_EQ(c.at(1), 64);
+  EXPECT_FLOAT_EQ(c.at(2), 139);
+  EXPECT_FLOAT_EQ(c.at(3), 154);
 }
 
 TEST(MatMulTest, IdentityIsNeutral) {
@@ -48,19 +59,12 @@ TEST(MatMulTest, IdentityIsNeutral) {
   Tensor a = Tensor::RandomGaussian(Shape{4, 4}, &rng);
   Tensor eye(Shape{4, 4});
   for (int i = 0; i < 4; ++i) eye.set(i * 4 + i, 1.0f);
-  auto c = MatMul(a, eye);
-  ASSERT_TRUE(c.ok());
-  EXPECT_TRUE(c->AllClose(a, 1e-5f));
-}
-
-TEST(MatMulTest, RejectsBadShapes) {
-  EXPECT_FALSE(MatMul(Tensor(Shape{2, 3}), Tensor(Shape{2, 3})).ok());
-  EXPECT_FALSE(MatMul(Tensor(Shape{4}), Tensor(Shape{4, 2})).ok());
+  EXPECT_TRUE(PackedMatMul(a, eye).AllClose(a, 1e-5f));
 }
 
 TEST(Im2ColTest, UnitKernelIsReshape) {
   Tensor input(Shape{2, 2, 2}, {1, 2, 3, 4, 5, 6, 7, 8});
-  auto cols = Im2Col(input, 1, 1, 0, 1);
+  auto cols = oracle::Im2Col(input, 1, 1, 0, 1);
   ASSERT_TRUE(cols.ok());
   EXPECT_EQ(cols->shape(), (Shape{1, 2, 4}));
   for (int64_t i = 0; i < 8; ++i) {
@@ -70,7 +74,7 @@ TEST(Im2ColTest, UnitKernelIsReshape) {
 
 TEST(Im2ColTest, PaddingZeroFills) {
   Tensor input = Tensor::Full(Shape{1, 2, 2}, 1.0f);
-  auto cols = Im2Col(input, 3, 1, 1, 1);
+  auto cols = oracle::Im2Col(input, 3, 1, 1, 1);
   ASSERT_TRUE(cols.ok());
   // 3x3 kernel over a padded 2x2: center patch entries present, corners 0.
   EXPECT_EQ(cols->shape(), (Shape{1, 9, 4}));
@@ -78,41 +82,6 @@ TEST(Im2ColTest, PaddingZeroFills) {
   for (int64_t i = 0; i < cols->num_elements(); ++i) sum += cols->at(i);
   EXPECT_FLOAT_EQ(sum, 16.0f);  // Each of 4 input pixels appears 4 times.
 }
-
-// Differential testing: the GEMM path must agree with the direct loops on
-// random configurations, including strides, padding, and groups.
-struct ConvCase {
-  int channels, size, filters, kernel, stride, pad, groups;
-};
-
-class ConvDifferentialTest : public ::testing::TestWithParam<ConvCase> {};
-
-TEST_P(ConvDifferentialTest, GemmMatchesDirect) {
-  const ConvCase c = GetParam();
-  Rng rng(c.channels * 131 + c.kernel * 17 + c.stride);
-  Tensor input =
-      Tensor::RandomGaussian(Shape{c.channels, c.size, c.size}, &rng);
-  Tensor w = Tensor::RandomGaussian(
-      Shape{c.filters, c.channels / c.groups, c.kernel, c.kernel}, &rng);
-  Tensor b = Tensor::RandomGaussian(Shape{c.filters}, &rng);
-  auto direct = Conv2D(input, w, b, c.stride, c.pad, c.groups);
-  auto gemm = Conv2DGemm(input, w, b, c.stride, c.pad, c.groups);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(gemm.ok());
-  EXPECT_EQ(direct->shape(), gemm->shape());
-  EXPECT_TRUE(direct->AllClose(*gemm, 1e-3f));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, ConvDifferentialTest,
-    ::testing::Values(ConvCase{1, 5, 1, 3, 1, 0, 1},
-                      ConvCase{3, 8, 4, 3, 1, 1, 1},
-                      ConvCase{4, 9, 6, 5, 2, 2, 1},
-                      ConvCase{2, 7, 2, 1, 1, 0, 1},
-                      ConvCase{4, 8, 8, 3, 1, 1, 2},
-                      ConvCase{6, 11, 9, 3, 2, 1, 3},
-                      ConvCase{8, 6, 8, 2, 2, 0, 4},
-                      ConvCase{3, 16, 12, 7, 4, 3, 1}));
 
 // Reference-vs-optimized harness: the packed kernel must agree with the
 // naive oracle across shapes chosen to hit every tiling edge — sub-tile
@@ -128,11 +97,9 @@ TEST_P(GemmDifferentialTest, PackedMatchesReference) {
   Rng rng(s.m * 7919 + s.n * 131 + s.k);
   Tensor a = Tensor::RandomGaussian(Shape{s.m, s.k}, &rng);
   Tensor b = Tensor::RandomGaussian(Shape{s.k, s.n}, &rng);
-  auto ref = MatMulReference(a, b);
-  auto got = MatMul(a, b);
+  auto ref = oracle::MatMul(a, b);
   ASSERT_TRUE(ref.ok());
-  ASSERT_TRUE(got.ok());
-  ExpectGemmClose(*ref, *got, s.k);
+  ExpectGemmClose(*ref, PackedMatMul(a, b), s.k);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -161,29 +128,25 @@ TEST(MatMulTest, NanAndInfPropagation) {
   // skip-on-zero kernel returned 1 here.
   Tensor a(Shape{1, 2}, {0.0f, 1.0f});
   Tensor b(Shape{2, 1}, {inf, 1.0f});
-  auto c = MatMul(a, b);
-  ASSERT_TRUE(c.ok());
-  EXPECT_TRUE(std::isnan(c->at(0)));
+  EXPECT_TRUE(std::isnan(PackedMatMul(a, b).at(0)));
 
   // NaN in A poisons its whole output row, and only that row.
   Tensor a2(Shape{2, 2}, {nan, 1.0f, 1.0f, 1.0f});
   Tensor b2(Shape{2, 2}, {1.0f, 2.0f, 3.0f, 4.0f});
-  auto c2 = MatMul(a2, b2);
-  ASSERT_TRUE(c2.ok());
-  EXPECT_TRUE(std::isnan(c2->at(0)));
-  EXPECT_TRUE(std::isnan(c2->at(1)));
-  EXPECT_FLOAT_EQ(c2->at(2), 4.0f);
-  EXPECT_FLOAT_EQ(c2->at(3), 6.0f);
+  const Tensor c2 = PackedMatMul(a2, b2);
+  EXPECT_TRUE(std::isnan(c2.at(0)));
+  EXPECT_TRUE(std::isnan(c2.at(1)));
+  EXPECT_FLOAT_EQ(c2.at(2), 4.0f);
+  EXPECT_FLOAT_EQ(c2.at(3), 6.0f);
 
   // Inf times a positive row stays inf.
   Tensor a3(Shape{1, 1}, {2.0f});
   Tensor b3(Shape{1, 3}, {inf, -inf, 1.0f});
-  auto c3 = MatMul(a3, b3);
-  ASSERT_TRUE(c3.ok());
-  EXPECT_TRUE(std::isinf(c3->at(0)));
-  EXPECT_TRUE(std::isinf(c3->at(1)));
-  EXPECT_LT(c3->at(1), 0.0f);
-  EXPECT_FLOAT_EQ(c3->at(2), 2.0f);
+  const Tensor c3 = PackedMatMul(a3, b3);
+  EXPECT_TRUE(std::isinf(c3.at(0)));
+  EXPECT_TRUE(std::isinf(c3.at(1)));
+  EXPECT_LT(c3.at(1), 0.0f);
+  EXPECT_FLOAT_EQ(c3.at(2), 2.0f);
 }
 
 // The reference oracle itself must propagate specials too (it exists to
@@ -192,21 +155,20 @@ TEST(MatMulTest, ReferenceOracleHasNoZeroSkip) {
   const float inf = std::numeric_limits<float>::infinity();
   Tensor a(Shape{1, 2}, {0.0f, 1.0f});
   Tensor b(Shape{2, 1}, {inf, 1.0f});
-  auto c = MatMulReference(a, b);
+  auto c = oracle::MatMul(a, b);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(std::isnan(c->at(0)));
 }
 
 // The fused-ReLU epilogue must agree exactly with conv-then-ReLU: the
 // arithmetic is identical, only the output pass is fused away.
-TEST(Conv2DGemmExTest, FusedReluMatchesSeparateRelu) {
+TEST(Conv2DGemmImplicitTest, FusedReluMatchesSeparateRelu) {
   Rng rng(42);
   Tensor input = Tensor::RandomGaussian(Shape{6, 12, 12}, &rng);
   Tensor w = Tensor::RandomGaussian(Shape{9, 2, 3, 3}, &rng);
   Tensor b = Tensor::RandomGaussian(Shape{9}, &rng);
-  auto plain = Conv2DGemm(input, w, b, 1, 1, 3);
-  auto fused = Conv2DGemmEx(input, w, b, 1, 1, 3, /*relu=*/true,
-                            /*pool=*/nullptr);
+  auto plain = Conv2DGemmImplicit(input, w, b, 1, 1, 3, /*relu=*/false);
+  auto fused = Conv2DGemmImplicit(input, w, b, 1, 1, 3, /*relu=*/true);
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(fused.ok());
   Tensor expected = Relu(*plain);
@@ -252,13 +214,13 @@ TEST(KernelScratchTest, NoAllocationsAfterWarmup) {
   Tensor b = Tensor::RandomGaussian(Shape{16}, &rng);
 
   // Warm-up: grows the arena to this shape's high-water mark.
-  ASSERT_TRUE(Conv2DGemm(input, w, b, 1, 1, 1).ok());
+  ASSERT_TRUE(Conv2DGemmImplicit(input, w, b, 1, 1, 1, false).ok());
 
   KernelScratch& scratch = KernelScratch::ThreadLocal();
   const int64_t allocs_after_warmup = scratch.allocations();
   const int64_t reuses_before = scratch.reuses();
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(Conv2DGemm(input, w, b, 1, 1, 1).ok());
+    ASSERT_TRUE(Conv2DGemmImplicit(input, w, b, 1, 1, 1, false).ok());
   }
   EXPECT_EQ(scratch.allocations(), allocs_after_warmup)
       << "warmed-up convolutions must not allocate scratch";
@@ -301,7 +263,7 @@ TEST_P(FullyConnectedGemmTest, MatchesScalarOracleAndOneVectorRuns) {
     for (int j = 0; j < batch; ++j) {
       Tensor col(Shape{in_dim});
       for (int i = 0; i < in_dim; ++i) col.set(i, x.at(i * batch + j));
-      auto ref = FullyConnected(col, w, bias);
+      auto ref = oracle::FullyConnected(col, w, bias);
       ASSERT_TRUE(ref.ok());
       Tensor want = relu ? Relu(*ref) : *ref;
       auto alone = FullyConnectedGemm(col, w, bias, relu);
@@ -332,17 +294,19 @@ TEST(FullyConnectedGemmTest, RejectsBadShapes) {
       FullyConnectedGemm(Tensor(Shape{8}), w, Tensor(Shape{3}), false).ok());
 }
 
-TEST(Conv2DGemmTest, RejectsBadConfigs) {
+TEST(Conv2DGemmImplicitTest, RejectsBadConfigs) {
   Tensor input(Shape{3, 8, 8});
   Tensor w(Shape{4, 3, 3, 3});
   Tensor b(Shape{4});
   // Non-square kernel.
-  EXPECT_FALSE(
-      Conv2DGemm(input, Tensor(Shape{4, 3, 3, 2}), b, 1, 1).ok());
+  EXPECT_FALSE(Conv2DGemmImplicit(input, Tensor(Shape{4, 3, 3, 2}), b, 1, 1,
+                                  1, false)
+                   .ok());
   // Groups not dividing channels.
-  EXPECT_FALSE(Conv2DGemm(input, w, b, 1, 1, 2).ok());
+  EXPECT_FALSE(Conv2DGemmImplicit(input, w, b, 1, 1, 2, false).ok());
   // Bias mismatch.
-  EXPECT_FALSE(Conv2DGemm(input, w, Tensor(Shape{5}), 1, 1).ok());
+  EXPECT_FALSE(
+      Conv2DGemmImplicit(input, w, Tensor(Shape{5}), 1, 1, 1, false).ok());
 }
 
 }  // namespace

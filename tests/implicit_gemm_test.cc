@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "dl/model_zoo.h"
+#include "oracle/kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
@@ -18,8 +19,8 @@ namespace vista {
 namespace {
 
 /// Bit-identity across whole tensors: the implicit packer gathers the
-/// exact values the explicit path materializes, in the same panel order,
-/// so the outputs must match to the last bit — not just within tolerance.
+/// exact values oracle::Im2Col materializes, in the same panel order, so
+/// the outputs must match to the last bit — not just within tolerance.
 void ExpectBitIdentical(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
   ASSERT_EQ(0, std::memcmp(a.data(), b.data(),
@@ -31,7 +32,8 @@ void ExpectBitIdentical(const Tensor& a, const Tensor& b) {
 // non-square inputs whose bottom/right effective padding differs from the
 // top/left (h or w not congruent with the window), grouped convolution,
 // even kernels, and the 1x1/stride-1/pad-0 fast path that skips the
-// gather entirely.
+// gather entirely. The square shapes at the end add 5x5 and 7x7 kernels,
+// stride 4, a single channel and more groups.
 struct ImplicitConvCase {
   int channels, h, w, filters, kernel, stride, pad, groups;
 };
@@ -47,8 +49,8 @@ TEST_P(ImplicitConvDifferentialTest, BitIdenticalToExplicitIm2Col) {
       Shape{c.filters, c.channels / c.groups, c.kernel, c.kernel}, &rng);
   Tensor b = Tensor::RandomGaussian(Shape{c.filters}, &rng);
   for (const bool relu : {false, true}) {
-    auto ex = Conv2DGemmEx(input, w, b, c.stride, c.pad, c.groups, relu,
-                           nullptr);
+    auto ex = oracle::Conv2DExplicitGemm(input, w, b, c.stride, c.pad,
+                                         c.groups, relu);
     auto im = Conv2DGemmImplicit(input, w, b, c.stride, c.pad, c.groups,
                                  relu);
     ASSERT_TRUE(ex.ok()) << ex.status().ToString();
@@ -64,7 +66,7 @@ TEST_P(ImplicitConvDifferentialTest, MatchesDirectReference) {
   Tensor w = Tensor::RandomGaussian(
       Shape{c.filters, c.channels / c.groups, c.kernel, c.kernel}, &rng);
   Tensor b = Tensor::RandomGaussian(Shape{c.filters}, &rng);
-  auto direct = Conv2D(input, w, b, c.stride, c.pad, c.groups);
+  auto direct = oracle::Conv2D(input, w, b, c.stride, c.pad, c.groups);
   auto im = Conv2DGemmImplicit(input, w, b, c.stride, c.pad, c.groups,
                                /*relu=*/false);
   ASSERT_TRUE(direct.ok());
@@ -83,16 +85,24 @@ INSTANTIATE_TEST_SUITE_P(
         ImplicitConvCase{16, 8, 8, 24, 1, 1, 0, 1},   // 1x1 fast path
         ImplicitConvCase{9, 7, 5, 6, 3, 2, 0, 3},     // grouped, no pad
         ImplicitConvCase{4, 6, 6, 6, 2, 2, 1, 2},       // even kernel
-        ImplicitConvCase{3, 35, 29, 7, 3, 2, 1, 1}));   // big non-square grid
+        ImplicitConvCase{3, 35, 29, 7, 3, 2, 1, 1},     // big non-square grid
+        ImplicitConvCase{1, 5, 5, 1, 3, 1, 0, 1},
+        ImplicitConvCase{3, 8, 8, 4, 3, 1, 1, 1},
+        ImplicitConvCase{4, 9, 9, 6, 5, 2, 2, 1},
+        ImplicitConvCase{2, 7, 7, 2, 1, 1, 0, 1},
+        ImplicitConvCase{4, 8, 8, 8, 3, 1, 1, 2},
+        ImplicitConvCase{6, 11, 11, 9, 3, 2, 1, 3},
+        ImplicitConvCase{8, 6, 6, 8, 2, 2, 0, 4},
+        ImplicitConvCase{3, 16, 16, 12, 7, 4, 3, 1}));
 
 // The fast path must actually be exercised and still agree: a 1x1
 // stride-1 pad-0 conv feeds the input tensor to the packed GEMM in place.
-TEST(ImplicitConvFastPathTest, OneByOneMatchesExplicitAndDirect) {
+TEST(ImplicitConvFastPathTest, OneByOneMatchesExplicitExpansion) {
   Rng rng(42);
   Tensor input = Tensor::RandomGaussian(Shape{32, 14, 14}, &rng);
   Tensor w = Tensor::RandomGaussian(Shape{48, 32, 1, 1}, &rng);
   Tensor b = Tensor::RandomGaussian(Shape{48}, &rng);
-  auto ex = Conv2DGemmEx(input, w, b, 1, 0, 1, /*relu=*/true, nullptr);
+  auto ex = oracle::Conv2DExplicitGemm(input, w, b, 1, 0, 1, /*relu=*/true);
   auto im = Conv2DGemmImplicit(input, w, b, 1, 0, 1, /*relu=*/true);
   ASSERT_TRUE(ex.ok());
   ASSERT_TRUE(im.ok());
@@ -102,7 +112,7 @@ TEST(ImplicitConvFastPathTest, OneByOneMatchesExplicitAndDirect) {
 // Int8: the implicit packer quantizes during the gather. Its raw int32
 // accumulators (empty epilogue mode) must be bit-identical to quantizing
 // a materialized im2col expansion and running the memory-sourced int8
-// kernel on it — the legacy fp32-im2col-then-quantize detour.
+// kernel on it.
 class ImplicitConvInt8Test
     : public ::testing::TestWithParam<ImplicitConvCase> {};
 
@@ -117,7 +127,7 @@ TEST_P(ImplicitConvInt8Test, AccumulatorsMatchQuantizedExpansion) {
   const float act_scale =
       SymmetricScale(MaxAbs(input.data(), input.num_elements()));
 
-  auto cols = Im2Col(input, c.kernel, c.stride, c.pad, c.groups);
+  auto cols = oracle::Im2Col(input, c.kernel, c.stride, c.pad, c.groups);
   ASSERT_TRUE(cols.ok());
   const int64_t rows = cols->shape().dim(1);
   const int64_t spatial = cols->shape().dim(2);
@@ -155,10 +165,10 @@ TEST_P(ImplicitConvInt8Test, AccumulatorsMatchQuantizedExpansion) {
 }
 
 // End to end with per-channel scales: Conv2DGemmInt8 (implicit) against
-// the legacy detour — materialize, quantize, memory-sourced GEMM with the
-// same fused dequant epilogue. Same accumulators + same epilogue
+// its explicit specification — materialize, quantize, memory-sourced GEMM
+// with the same fused dequant epilogue. Same accumulators + same epilogue
 // arithmetic => bit-identical fp32 output.
-TEST_P(ImplicitConvInt8Test, FullConvMatchesLegacyDetour) {
+TEST_P(ImplicitConvInt8Test, FullConvMatchesQuantizedExpansion) {
   const ImplicitConvCase c = GetParam();
   Rng rng(c.channels * 271 + c.w * 7 + c.stride);
   Tensor input = Tensor::RandomGaussian(Shape{c.channels, c.h, c.w}, &rng);
@@ -172,34 +182,12 @@ TEST_P(ImplicitConvInt8Test, FullConvMatchesLegacyDetour) {
 
   auto got = Conv2DGemmInt8(input, *qw, b, c.stride, c.pad, c.groups,
                             /*relu=*/true, act_scale);
+  auto want = oracle::Conv2DExplicitGemmInt8(input, *qw, b, c.stride, c.pad,
+                                             c.groups, /*relu=*/true,
+                                             act_scale);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-
-  auto cols = Im2Col(input, c.kernel, c.stride, c.pad, c.groups);
-  ASSERT_TRUE(cols.ok());
-  const int64_t rows = cols->shape().dim(1);
-  const int64_t spatial = cols->shape().dim(2);
-  const int64_t m = c.filters / c.groups;
-  std::vector<float> scales(static_cast<size_t>(c.filters));
-  for (int i = 0; i < c.filters; ++i) {
-    scales[static_cast<size_t>(i)] =
-        qw->scales[static_cast<size_t>(i)] * act_scale;
-  }
-  Tensor want(got->shape());
-  std::vector<int8_t> cols_q(static_cast<size_t>(rows * spatial));
-  KernelScratch scratch;
-  for (int64_t gi = 0; gi < c.groups; ++gi) {
-    QuantizeSymmetric(cols->data() + gi * rows * spatial, rows * spatial,
-                      act_scale, cols_q.data());
-    GemmInt8Epilogue epilogue;
-    epilogue.scale = scales.data() + gi * m;
-    epilogue.bias = b.data() + gi * m;
-    epilogue.relu = true;
-    GemmPackedInt8(m, spatial, rows, qw->data.data() + gi * m * rows, rows,
-                   cols_q.data(), spatial,
-                   want.mutable_data() + gi * m * spatial, spatial, epilogue,
-                   &scratch);
-  }
-  ExpectBitIdentical(want, *got);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ExpectBitIdentical(*want, *got);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -363,50 +351,6 @@ INSTANTIATE_TEST_SUITE_P(
             ImplicitConvCase{64, 2, 2, 16, 3, 1, 1, 1}),  // conv5-like 2x2
         ::testing::Values(1, 2, 3, 5, 17)));
 
-// The headline footprint claim: on a VGG-style 3x3 conv the explicit
-// path's arena (im2col expansion + packed panels) is at least 4x the
-// implicit path's (panels only). Measured on fresh arenas, not estimated.
-TEST(ImplicitConvScratchTest, FootprintDropsAtLeast4x) {
-  const int64_t channels = 64, hw = 56, filters = 64;
-  const int kernel = 3, stride = 1, pad = 1;
-  Rng rng(9);
-  Tensor input = Tensor::RandomGaussian(Shape{channels, hw, hw}, &rng);
-  Tensor w =
-      Tensor::RandomGaussian(Shape{filters, channels, kernel, kernel}, &rng);
-  const int64_t rows = channels * kernel * kernel;
-  const int64_t spatial = hw * hw;  // stride 1, pad 1 preserves the grid.
-  std::vector<float> c(static_cast<size_t>(filters * spatial));
-
-  KernelScratch implicit_arena;
-  ConvPatchView view;
-  view.input = input.data();
-  view.h = hw;
-  view.w = hw;
-  view.kernel = kernel;
-  view.stride = stride;
-  view.pad = pad;
-  view.w_out = hw;
-  GemmPackedConv(filters, spatial, rows, w.data(), rows, view, c.data(),
-                 spatial, GemmEpilogue{}, &implicit_arena);
-
-  // Emulate the explicit path's arena traffic: the materialized expansion
-  // lives in Slot::kIm2Col of the same arena the packed GEMM then uses.
-  auto cols = Im2Col(input, kernel, stride, pad, 1);
-  ASSERT_TRUE(cols.ok());
-  KernelScratch explicit_arena;
-  float* buf = explicit_arena.Acquire(KernelScratch::Slot::kIm2Col,
-                                      static_cast<size_t>(rows * spatial));
-  std::memcpy(buf, cols->data(),
-              static_cast<size_t>(rows * spatial) * sizeof(float));
-  GemmPacked(filters, spatial, rows, w.data(), rows, buf, spatial, c.data(),
-             spatial, GemmEpilogue{}, &explicit_arena);
-
-  EXPECT_GT(implicit_arena.peak_bytes(), 0);
-  EXPECT_GE(explicit_arena.peak_bytes(), 4 * implicit_arena.peak_bytes())
-      << "explicit " << explicit_arena.peak_bytes() << " implicit "
-      << implicit_arena.peak_bytes();
-}
-
 // The estimator's Eq. 16 Temp figure must track what the kernel actually
 // acquires: ConvTempBytes mirrors the drivers' literal Acquire sizes, so
 // on a fresh arena the measured high-water equals the prediction exactly.
@@ -453,8 +397,6 @@ TEST(ImplicitConvScratchTest, ConvTempBytesMatchesMeasuredPeak) {
                    h_out * w_out, GemmEpilogue{}, &arena);
   }
   EXPECT_EQ(arena.peak_bytes(), ConvTempBytes(*arch, 0));
-  // And the legacy figure dominates it by the materialized expansion.
-  EXPECT_GT(ConvIm2ColTempBytes(*arch, 0), ConvTempBytes(*arch, 0));
 }
 
 // Grouped twin: a narrow layer runs each conv as one GEMM over a group of
@@ -502,7 +444,7 @@ TEST(ImplicitConvScratchTest, EngineStatsMirrorGlobalPeak) {
   Tensor input = Tensor::RandomGaussian(Shape{8, 12, 12}, &rng);
   Tensor w = Tensor::RandomGaussian(Shape{8, 8, 3, 3}, &rng);
   Tensor b(Shape{8});
-  ASSERT_TRUE(Conv2DGemm(input, w, b, 1, 1).ok());
+  ASSERT_TRUE(Conv2DGemmImplicit(input, w, b, 1, 1, 1, false).ok());
   EXPECT_GT(KernelScratch::GlobalPeakBytes(), 0);
 }
 

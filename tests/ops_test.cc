@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "oracle/kernels.h"
 #include "tensor/ops.h"
 
 namespace vista {
@@ -18,7 +19,7 @@ TEST(Conv2DTest, IdentityKernel) {
   Tensor input(Shape{1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
   Tensor w(Shape{1, 1, 1, 1}, {1.0f});
   Tensor b(Shape{1}, {0.0f});
-  auto out = Conv2D(input, w, b, 1, 0);
+  auto out = oracle::Conv2D(input, w, b, 1, 0);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->AllClose(input));
 }
@@ -28,7 +29,7 @@ TEST(Conv2DTest, HandComputed3x3) {
   Tensor input(Shape{1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
   Tensor w = Tensor::Full(Shape{1, 1, 2, 2}, 1.0f);
   Tensor b(Shape{1}, {0.0f});
-  auto out = Conv2D(input, w, b, 1, 0);
+  auto out = oracle::Conv2D(input, w, b, 1, 0);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->shape(), (Shape{1, 2, 2}));
   EXPECT_FLOAT_EQ(out->at(0), 1 + 2 + 4 + 5);
@@ -41,7 +42,7 @@ TEST(Conv2DTest, BiasApplied) {
   Tensor input(Shape{1, 2, 2}, {1, 1, 1, 1});
   Tensor w = Tensor::Full(Shape{1, 1, 2, 2}, 1.0f);
   Tensor b(Shape{1}, {10.0f});
-  auto out = Conv2D(input, w, b, 1, 0);
+  auto out = oracle::Conv2D(input, w, b, 1, 0);
   ASSERT_TRUE(out.ok());
   EXPECT_FLOAT_EQ(out->at(0), 14.0f);
 }
@@ -50,7 +51,7 @@ TEST(Conv2DTest, PaddingProducesSameSize) {
   Tensor input(Shape{1, 4, 4});
   Tensor w(Shape{2, 1, 3, 3});
   Tensor b(Shape{2});
-  auto out = Conv2D(input, w, b, 1, 1);
+  auto out = oracle::Conv2D(input, w, b, 1, 1);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->shape(), (Shape{2, 4, 4}));
 }
@@ -59,7 +60,7 @@ TEST(Conv2DTest, StrideDownsamples) {
   Tensor input(Shape{3, 8, 8});
   Tensor w(Shape{4, 3, 2, 2});
   Tensor b(Shape{4});
-  auto out = Conv2D(input, w, b, 2, 0);
+  auto out = oracle::Conv2D(input, w, b, 2, 0);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->shape(), (Shape{4, 4, 4}));
 }
@@ -69,7 +70,7 @@ TEST(Conv2DTest, MultiChannelSum) {
   Tensor input(Shape{2, 1, 1}, {3, 4});
   Tensor w = Tensor::Full(Shape{1, 2, 1, 1}, 1.0f);
   Tensor b(Shape{1});
-  auto out = Conv2D(input, w, b, 1, 0);
+  auto out = oracle::Conv2D(input, w, b, 1, 0);
   ASSERT_TRUE(out.ok());
   EXPECT_FLOAT_EQ(out->at(0), 7.0f);
 }
@@ -82,9 +83,9 @@ TEST(Conv2DTest, LinearityInInput) {
   Tensor zero_bias(Shape{3});
   auto sum = Add(a, b);
   ASSERT_TRUE(sum.ok());
-  auto conv_sum = Conv2D(*sum, w, zero_bias, 1, 1);
-  auto conv_a = Conv2D(a, w, zero_bias, 1, 1);
-  auto conv_b = Conv2D(b, w, zero_bias, 1, 1);
+  auto conv_sum = oracle::Conv2D(*sum, w, zero_bias, 1, 1);
+  auto conv_a = oracle::Conv2D(a, w, zero_bias, 1, 1);
+  auto conv_b = oracle::Conv2D(b, w, zero_bias, 1, 1);
   ASSERT_TRUE(conv_sum.ok());
   auto expected = Add(*conv_a, *conv_b);
   ASSERT_TRUE(expected.ok());
@@ -95,21 +96,21 @@ TEST(Conv2DTest, RejectsChannelMismatch) {
   Tensor input(Shape{3, 4, 4});
   Tensor w(Shape{1, 2, 3, 3});
   Tensor b(Shape{1});
-  EXPECT_FALSE(Conv2D(input, w, b, 1, 0).ok());
+  EXPECT_FALSE(oracle::Conv2D(input, w, b, 1, 0).ok());
 }
 
 TEST(Conv2DTest, RejectsBadRank) {
   Tensor input(Shape{4, 4});
   Tensor w(Shape{1, 1, 3, 3});
   Tensor b(Shape{1});
-  EXPECT_FALSE(Conv2D(input, w, b, 1, 0).ok());
+  EXPECT_FALSE(oracle::Conv2D(input, w, b, 1, 0).ok());
 }
 
 TEST(Conv2DTest, RejectsEmptyOutput) {
   Tensor input(Shape{1, 2, 2});
   Tensor w(Shape{1, 1, 5, 5});
   Tensor b(Shape{1});
-  EXPECT_FALSE(Conv2D(input, w, b, 1, 0).ok());
+  EXPECT_FALSE(oracle::Conv2D(input, w, b, 1, 0).ok());
 }
 
 TEST(MaxPoolTest, HandComputed) {
@@ -202,7 +203,7 @@ TEST(FullyConnectedTest, MatVec) {
   Tensor x(Shape{2}, {1, 2});
   Tensor w(Shape{3, 2}, {1, 0, 0, 1, 1, 1});
   Tensor b(Shape{3}, {0, 0, 10});
-  auto out = FullyConnected(x, w, b);
+  auto out = oracle::FullyConnected(x, w, b);
   ASSERT_TRUE(out.ok());
   EXPECT_FLOAT_EQ(out->at(0), 1);
   EXPECT_FLOAT_EQ(out->at(1), 2);
@@ -213,7 +214,7 @@ TEST(FullyConnectedTest, RejectsDimMismatch) {
   Tensor x(Shape{3});
   Tensor w(Shape{2, 2});
   Tensor b(Shape{2});
-  EXPECT_FALSE(FullyConnected(x, w, b).ok());
+  EXPECT_FALSE(oracle::FullyConnected(x, w, b).ok());
 }
 
 TEST(BatchNormTest, ScaleAndShift) {

@@ -301,16 +301,13 @@ TEST_F(OptimizerTest, ModelMemoryScalesWithLargestLayer) {
 }
 
 TEST_F(OptimizerTest, ConvTempEstimatesReflectImplicitGemm) {
-  // The Eq. 16 Temp term under implicit GEMM is two packed panels; the
-  // legacy materialized-im2col figure on VGG16's 224x224 3x3 convs is a
-  // full ~115 MB patch matrix on top of them — at least the 4x reduction
-  // the kernel tests measure, in practice far more.
+  // The Eq. 16 Temp term is the packed GEMM panels of the conv and FC
+  // kernels (implicit_gemm_test pins it to the measured arena peak).
   const auto& entry = Entry(dl::KnownCnn::kVgg16);
   TransferWorkload w = Workload(dl::KnownCnn::kVgg16, 2);
   auto est = EstimateSizes(entry, w, Foods());
   ASSERT_TRUE(est.ok());
   EXPECT_GT(est->conv_temp_bytes, 0);
-  EXPECT_GE(est->conv_temp_im2col_bytes, 4 * est->conv_temp_bytes);
   // Layer-level: the per-layer walk agrees with the workload maximum.
   int64_t peak = 0;
   for (int l = 0; l < entry.arch.num_layers(); ++l) {
@@ -319,34 +316,33 @@ TEST_F(OptimizerTest, ConvTempEstimatesReflectImplicitGemm) {
   EXPECT_EQ(peak, est->conv_temp_bytes);
 }
 
-TEST_F(OptimizerTest, MaterializedIm2ColTempFlipsPlanChoice) {
-  // The Temp term must actually move plan decisions: charging the legacy
-  // materialized-im2col scratch to DL Execution Memory shrinks Storage by
-  // x * ~115 MB on VGG16, which at some node size crosses the
-  // s_double-per-worker line and flips persistence to serialized (or
-  // costs a thread of cpu). Sweep node memory and require at least one
-  // flip, with the memory accounting ordered correctly everywhere.
-  const auto& entry = Entry(dl::KnownCnn::kVgg16);
-  TransferWorkload w = Workload(dl::KnownCnn::kVgg16, 2);
-  DataStats stats = Amazon();
-  OptimizerParams implicit_params;
-  OptimizerParams legacy_params;
-  legacy_params.materialized_im2col = true;
-  bool flipped = false;
-  for (int64_t mem = GiB(6); mem <= GiB(48); mem += MiB(256)) {
-    SystemEnv env;
-    env.node_memory_bytes = mem;
-    auto a = OptimizeFeatureTransfer(env, entry, w, stats, implicit_params);
-    auto b = OptimizeFeatureTransfer(env, entry, w, stats, legacy_params);
-    if (!a.ok() || !b.ok()) continue;
-    if (a->cpu == b->cpu) {
-      EXPECT_GT(b->mem_dl, a->mem_dl);
-      EXPECT_LT(b->mem_storage, a->mem_storage);
+TEST_F(OptimizerTest, DlMemoryIsRuntimePlusConvTempPerThread) {
+  // Eq. 11 plus the Eq. 16 Temp term, exactly: with the downstream model in
+  // PD User memory (LR), each of the cpu inference threads holds the CNN's
+  // runtime footprint and its kernels' packed GEMM panels.
+  for (dl::KnownCnn cnn : {dl::KnownCnn::kAlexNet, dl::KnownCnn::kVgg16,
+                           dl::KnownCnn::kResNet50}) {
+    const auto& entry = Entry(cnn);
+    TransferWorkload w = Workload(cnn, 2);
+    ASSERT_EQ(w.model, DownstreamModel::kLogisticRegression);
+    DataStats stats = Amazon();
+    auto est = EstimateSizes(entry, w, stats);
+    ASSERT_TRUE(est.ok());
+    ASSERT_GT(est->conv_temp_bytes, 0);
+    int feasible = 0;
+    for (int64_t mem : {GiB(8), GiB(16), GiB(32), GiB(64)}) {
+      SystemEnv env;
+      env.node_memory_bytes = mem;
+      auto d = OptimizeFeatureTransfer(env, entry, w, stats);
+      if (!d.ok()) continue;
+      ++feasible;
+      const int64_t per_thread =
+          entry.memory.runtime_cpu_bytes + est->conv_temp_bytes;
+      EXPECT_EQ(d->mem_dl, d->cpu * per_thread)
+          << entry.arch.name() << " at " << mem << " B";
     }
-    if (a->persistence != b->persistence || a->cpu != b->cpu) flipped = true;
+    EXPECT_GE(feasible, 2) << entry.arch.name();
   }
-  EXPECT_TRUE(flipped)
-      << "materialized-im2col Temp accounting never changed a plan";
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "dl/cnn.h"
 #include "dl/model_zoo.h"
+#include "oracle/kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
@@ -297,7 +298,7 @@ TEST(Conv2DGemmInt8Test, GridAlignedInputMatchesFp32Exactly) {
   const float in_scale = SymmetricScale(MaxAbs(input.data(),
                                                input.num_elements()));
   ASSERT_EQ(in_scale, act_step);
-  auto ref = Conv2DGemmEx(input, w, bias, 1, 1, 1, false, nullptr);
+  auto ref = Conv2DGemmImplicit(input, w, bias, 1, 1, 1, false);
   ASSERT_TRUE(ref.ok());
   auto got = Conv2DGemmInt8(input, *qw, bias, 1, 1, 1, false, in_scale);
   ASSERT_TRUE(got.ok());
@@ -315,7 +316,7 @@ TEST(Conv2DGemmInt8Test, GroupedConvMatchesFp32OnGrid) {
   const float in_scale = SymmetricScale(MaxAbs(input.data(),
                                                input.num_elements()));
   ASSERT_EQ(in_scale, act_step);
-  auto ref = Conv2DGemmEx(input, w, bias, 2, 1, 2, true, nullptr);
+  auto ref = Conv2DGemmImplicit(input, w, bias, 2, 1, 2, true);
   ASSERT_TRUE(ref.ok());
   auto got = Conv2DGemmInt8(input, *qw, bias, 2, 1, 2, true, in_scale);
   ASSERT_TRUE(got.ok());
@@ -333,7 +334,7 @@ TEST(Conv2DGemmInt8Test, RandomInputErrorBoundedByQuantizationStep) {
   ASSERT_TRUE(qw.ok());
   const float act_scale = SymmetricScale(MaxAbs(input.data(),
                                                 input.num_elements()));
-  auto ref = Conv2DGemmEx(input, w, bias, 1, 1, 1, false, nullptr);
+  auto ref = Conv2DGemmImplicit(input, w, bias, 1, 1, 1, false);
   ASSERT_TRUE(ref.ok());
   auto got = Conv2DGemmInt8(input, *qw, bias, 1, 1, 1, false, act_scale);
   ASSERT_TRUE(got.ok());
@@ -371,9 +372,9 @@ TEST(FullyConnectedInt8Test, MatchesFp32OnGrid) {
   const float in_scale = SymmetricScale(MaxAbs(x.data(), x.num_elements()));
   ASSERT_EQ(in_scale, act_step);
 
-  auto ref = MatMulReference(w, Tensor(Shape{64, 1}, std::vector<float>(
-                                           x.data(),
-                                           x.data() + x.num_elements())));
+  auto ref = oracle::MatMul(w, Tensor(Shape{64, 1}, std::vector<float>(
+                                          x.data(),
+                                          x.data() + x.num_elements())));
   ASSERT_TRUE(ref.ok());
   auto got = FullyConnectedInt8(x, *qw, bias, false, in_scale);
   ASSERT_TRUE(got.ok());
